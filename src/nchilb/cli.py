@@ -4,19 +4,17 @@ Subcommands mirror the library layers (`forests`, `coha`, `chow`) plus
 `paper-example`, which replays the complete worked m=2, d=3, n=1 pipeline
 and exits nonzero unless every pinned value matches.  Results go to
 stdout, diagnostics to stderr; exit code 2 flags usage errors and 1 flags
-computation errors.  The environment variable COHA_HILB_THREADS bounds the
-worker count used for independent sub-computations.
+computation errors.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .coha import CohaElement, coha_mul, forbidden_polynomial, kernel_generators, psi, psi_product
 from .forests import (
+    check_digit_alphabet,
     enumerate_forests,
     forest_to_json,
     forest_to_jtuple,
@@ -38,22 +36,6 @@ from .presentation import (
     verify_chern_basis,
     verify_poincare_match,
 )
-
-
-def _worker_count():
-    raw = os.environ.get("COHA_HILB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_jobs(jobs):
-    """Run thunks, possibly on a bounded worker pool; results keep their order."""
-    if _worker_count() == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return [future.result() for future in [pool.submit(job) for job in jobs]]
 
 
 def _emit(payload, args, text_renderer):
@@ -94,8 +76,6 @@ def _int_list(text):
 def _check_mdn(parser, args, need_n=True):
     if args.m < 0:
         parser.error("--m must be >= 0")
-    if args.m > 9:
-        parser.error("--m above 9 is not supported by the digit word encoding")
     if getattr(args, "d", 0) < 0:
         parser.error("--d must be >= 0")
     if need_n and args.n < 1:
@@ -106,8 +86,17 @@ def _check_mdn(parser, args, need_n=True):
 # forests
 
 
+def _check_words(parser, args):
+    """Refuse before enumerating when the forests could not be printed."""
+    try:
+        check_digit_alphabet(args.m)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def cmd_forests_enum(parser, args):
     _check_mdn(parser, args)
+    _check_words(parser, args)
     data = [forest_to_json(f) for f in enumerate_forests(args.m, args.d, args.n)]
 
     def render(payload):
@@ -135,6 +124,7 @@ def cmd_forests_poincare(parser, args):
 
 def cmd_forests_bijection(parser, args):
     _check_mdn(parser, args)
+    _check_words(parser, args)
     rows = []
     for forest in enumerate_forests(args.m, args.d, args.n):
         j = forest_to_jtuple(forest)
@@ -290,12 +280,8 @@ def cmd_chow_verify(parser, args):
     if args.m < 0 or args.d < 1:
         parser.error("need --m >= 0 and --d >= 1")
     gb = kernel_ideal(args.m, args.d)
-    basis_ok, poincare_ok = _run_jobs(
-        [
-            lambda: verify_chern_basis(args.m, args.d, gb),
-            lambda: verify_poincare_match(args.m, args.d, gb),
-        ]
-    )
+    basis_ok = verify_chern_basis(args.m, args.d, gb)
+    poincare_ok = verify_poincare_match(args.m, args.d, gb)
     payload = {"chern_basis": basis_ok, "poincare_match": poincare_ok}
 
     def render(p):
@@ -412,12 +398,8 @@ def cmd_paper_example(parser, args):
         ", ".join(poly_to_text(SparsePoly.monomial(3, e), names="e") for e in standard),
     )
 
-    basis_ok, poincare_ok = _run_jobs(
-        [
-            lambda: verify_chern_basis(2, 3, gb),
-            lambda: verify_poincare_match(2, 3, gb),
-        ]
-    )
+    basis_ok = verify_chern_basis(2, 3, gb)
+    poincare_ok = verify_poincare_match(2, 3, gb)
     check("Chern monomial basis verdict", basis_ok)
     check("Poincare/Hilbert match verdict", poincare_ok)
 
@@ -512,24 +494,18 @@ def build_parser():
     p = hsub.add_parser("presentation", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
     p.add_argument("--minimal", action="store_true", help="also report a minimal generator subset")
     p.set_defaults(func=cmd_chow_presentation)
 
     p = hsub.add_parser("hilbert", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
     p.add_argument("--max-deg", type=int, default=None)
     p.set_defaults(func=cmd_chow_hilbert)
 
     p = hsub.add_parser("verify", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
     p.set_defaults(func=cmd_chow_verify)
 
     p = hsub.add_parser("multiplicity", parents=[common])

@@ -3,10 +3,11 @@
 Degree-d elements are symmetric polynomials in d variables.  The product
 of elements of arities p and q sums, over all complementary index pairs
 (I, J) of {1,..,d}, the product of the factors evaluated at x_I and x_J
-times the interaction kernel prod (x_j - x_i)^(m-1).  For m = 0 the kernel
-exponent is -1; the sum is then accumulated as a single exact fraction
-(running numerator and denominator) and divided out at the end, which is
-guaranteed to be exact.
+times the interaction kernel prod (x_j - x_i)^(m-1).  For m >= 1 the
+product is computed from a single block term, symmetrized on partitions
+with integer coefficients.  For m = 0 the kernel exponent is -1; the sum
+is then accumulated as a single exact fraction (running numerator and
+denominator) and divided out at the end, which is guaranteed to be exact.
 
 The same shuffle machinery produces the degree-d kernel generators
 f * (e_q cup g), with f a Schur polynomial in the first p variables and
@@ -14,12 +15,19 @@ g = 1, which present the quotient rings downstream.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .polynomial import (
     NonDivisibleError,
     SparsePoly,
+    _clear_denominators,
     _embed,
+    _orbit,
+    _orbit_coefficients,
+    _orbit_size,
+    _stabilizer_order,
     elementary_symmetric,
     exact_divide,
     is_symmetric,
@@ -27,6 +35,7 @@ from .polynomial import (
     rho,
     schur,
 )
+from .rationals import QQ
 
 __all__ = [
     "CohaElement",
@@ -119,6 +128,79 @@ def _shuffle_sum(d, p, m, numerator_for):
         ) from exc
 
 
+def _mul_int(a, b):
+    """Product of two polynomials given as maps from exponents to integers."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _kernel_power(p, q, power):
+    """prod_{i<=p<j} (x_j - x_i)^power in p + q variables, integer coefficients.
+
+    Cached; callers must not modify the returned map.
+    """
+    d = p + q
+    kernel = {(0,) * d: 1}
+    for i in range(p):
+        for j in range(p, d):
+            factor = {}
+            for k in range(power + 1):
+                exp = [0] * d
+                exp[i], exp[j] = power - k, k
+                factor[tuple(exp)] = (-1) ** (power - k) * math.comb(power, k)
+            kernel = _mul_int(kernel, factor)
+    return kernel
+
+
+def _orbit_representatives(poly):
+    """A symmetric polynomial as integers on its sorted exponents, and a denominator.
+
+    Each sorted exponent carries its coefficient times its orbit size, so
+    that the symmetrization of the result over S_n is that of poly.
+    """
+    integers, denom = _clear_denominators(_orbit_coefficients(poly, poly.nvars))
+    return {exp: c * _orbit_size(exp) for exp, c in integers.items()}, denom
+
+
+def _block_shuffle(f, g, m):
+    """Shuffle product for m >= 1 from one block term instead of C(d, p).
+
+    With base = f(x_1..x_p) g(x_{p+1}..x_d) prod_{i<=p<j} (x_j - x_i)^(m-1),
+    which is S_p x S_q-invariant, the shuffle sum is the sum of sigma(base)
+    over S_d divided by p! q!.  Its coefficient of x^mu, mu a partition, is
+    therefore |Stab mu| / (p! q!) times the sum of base over the S_d-orbit
+    of mu.  Both factors are symmetric, so each may be replaced by its
+    sorted exponents weighted by orbit size without changing that sum.
+    """
+    p, q = f.d, g.d
+    d = p + q
+    f_reps, f_denom = _orbit_representatives(f.poly)
+    g_reps, g_denom = _orbit_representatives(g.poly)
+    block = {e1 + e2: c1 * c2 for e1, c1 in f_reps.items() for e2, c2 in g_reps.items()}
+    sums = {}
+    for exp, coef in _mul_int(block, _kernel_power(p, q, m - 1)).items():
+        mu = tuple(sorted(exp, reverse=True))
+        sums[mu] = sums.get(mu, 0) + coef
+    norm = math.factorial(p) * math.factorial(q)
+    denom = f_denom * g_denom
+    terms = {}
+    for mu, total in sums.items():
+        coef, rest = divmod(_stabilizer_order(mu) * total, norm)
+        if rest:  # the theory forbids this
+            raise ArithmeticError(
+                "block symmetrization is not integral; this indicates a bug "
+                "in the shuffle product"
+            )
+        if coef:
+            terms.update(dict.fromkeys(_orbit(mu), QQ(coef, denom)))
+    return SparsePoly._make(d, terms)
+
+
 def coha_mul(f, g, m):
     """Shuffle product of two elements, of arity f.d + g.d."""
     if m < 0:
@@ -127,6 +209,8 @@ def coha_mul(f, g, m):
         return CohaElement(g.d, g.poly * f.poly.constant())
     if g.d == 0:
         return CohaElement(f.d, f.poly * g.poly.constant())
+    if m >= 1:
+        return CohaElement(f.d + g.d, _block_shuffle(f, g, m))
     d = f.d + g.d
 
     def numerator_for(left, right):

@@ -40,6 +40,7 @@ __all__ = [
     "is_valid_btuple",
     "enumerate_jtuples",
     "enumerate_btuples",
+    "check_digit_alphabet",
     "forest_to_json",
     "forest_from_json",
 ]
@@ -407,8 +408,15 @@ def jtuple_to_forest(values, m, d, n):
 # JSON encoding
 
 
+def check_digit_alphabet(m):
+    """Raise ValueError unless the letters 1..m are single digits, as the word encoding needs."""
+    if m > 9:
+        raise ValueError(f"m = {m} is above 9, which the digit word encoding does not support")
+
+
 def forest_to_json(forest):
     """Forest as an array of arrays of digit strings; the empty word is ""."""
+    check_digit_alphabet(forest.m)
     return [[word_to_string(w) for w in tree.words] for tree in forest.trees]
 
 

@@ -7,10 +7,13 @@ monomial symmetric polynomials, Schur polynomials via the bialternant,
 antisymmetrization against the Vandermonde discriminant (both for the full
 symmetric group and for a two-block Young subgroup), and the change of
 basis from symmetric polynomials in x-variables to polynomials in the
-elementary symmetric generators.
+elementary symmetric generators.  Symmetry checks and the change of basis
+work on the coefficients of the sorted exponents, that is on partitions.
 """
 
 import itertools
+import math
+import operator
 import re
 from functools import lru_cache
 
@@ -409,10 +412,90 @@ def _embed(poly, positions, nvars):
     return SparsePoly._make(nvars, terms)
 
 
-def _adjacent_transposition(d, i):
-    sigma = list(range(d))
-    sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-    return tuple(sigma)
+def _runs(part):
+    """(start, length) of each maximal run of equal entries of a tuple."""
+    runs = []
+    start = 0
+    for i in range(1, len(part) + 1):
+        if i == len(part) or part[i] != part[start]:
+            runs.append((start, i - start))
+            start = i
+    return runs
+
+
+def _stabilizer_order(part):
+    """Number of permutations fixing a weakly decreasing tuple."""
+    order = 1
+    for _, length in _runs(part):
+        order *= math.factorial(length)
+    return order
+
+
+def _orbit_size(part):
+    """Number of distinct rearrangements of a weakly decreasing tuple."""
+    return math.factorial(len(part)) // _stabilizer_order(part)
+
+
+@lru_cache(maxsize=None)
+def _arrangements(counts):
+    """One itemgetter per distinct word with counts[i] letters i, in no set order.
+
+    Applied to a tuple of len(counts) values, each returns one rearrangement.
+    """
+    words = [()]
+    for letter, count in enumerate(counts):
+        grown = []
+        for word in words:
+            for spots in itertools.combinations(range(len(word) + count), count):
+                new = list(word)
+                for spot in spots:  # increasing, so each lands at its final index
+                    new.insert(spot, letter)
+                grown.append(tuple(new))
+        words = grown
+    return tuple(operator.itemgetter(*word) for word in words)
+
+
+def _orbit(part):
+    """All distinct rearrangements of a tuple."""
+    if len(part) < 2:
+        return [part]
+    counts = {}
+    for value in part:
+        counts[value] = counts.get(value, 0) + 1
+    values = tuple(counts)
+    return [get(values) for get in _arrangements(tuple(counts.values()))]
+
+
+def _orbit_coefficients(f, p):
+    """The coefficients of f on the sorted representatives of its S_p x S_q orbits.
+
+    S_p permutes x_1..x_p and S_q the remaining variables; p = f.nvars
+    gives the full symmetric group.  Returns None unless f is invariant:
+    every coefficient must equal that of its representative, and every
+    orbit must be complete.
+    """
+    terms = f.terms
+    full = p == f.nvars
+    members = {}
+    for exp, coef in terms.items():
+        if full:
+            rep = tuple(sorted(exp, reverse=True))
+        else:
+            rep = tuple(sorted(exp[:p], reverse=True)) + tuple(sorted(exp[p:], reverse=True))
+        found = terms.get(rep)
+        if found is not coef and found != coef:
+            return None
+        members[rep] = members.get(rep, 0) + 1
+    for rep, count in members.items():
+        if count != _orbit_size(rep[:p]) * _orbit_size(rep[p:]):
+            return None
+    return {rep: terms[rep] for rep in members}
+
+
+def _clear_denominators(coefficients):
+    """A map of rationals as integers over one common denominator: (integers, denominator)."""
+    denom = math.lcm(*(int(c.denominator) for c in coefficients.values()))
+    return {key: int(c * denom) for key, c in coefficients.items()}, denom
 
 
 def is_symmetric(f, block=None):
@@ -420,21 +503,14 @@ def is_symmetric(f, block=None):
 
     block=None checks the full symmetric group; block=(p, q) checks the
     Young subgroup permuting x_1..x_p and x_{p+1}..x_{p+q} separately.
-    Only adjacent transpositions are tested, which generate the group.
     """
     d = f.nvars
     if block is None:
-        ranges = [(0, d)]
-    else:
-        p, q = block
-        if p + q != d:
-            raise ValueError(f"block ({p},{q}) does not cover {d} variables")
-        ranges = [(0, p), (p, p + q)]
-    for lo, hi in ranges:
-        for i in range(lo, hi - 1):
-            if f.permute(_adjacent_transposition(d, i)) != f:
-                return False
-    return True
+        return _orbit_coefficients(f, d) is not None
+    p, q = block
+    if p + q != d:
+        raise ValueError(f"block ({p},{q}) does not cover {d} variables")
+    return _orbit_coefficients(f, p) is not None
 
 
 def schur(lam, d):
@@ -490,31 +566,87 @@ def partitions_in_box(rows, cols):
 # change of basis to elementary symmetric coordinates
 
 
+@lru_cache(maxsize=None)
+def _raise(part, k):
+    """m_part * e_k in monomial symmetric functions, as ((nu, coefficient), ..).
+
+    `part` is a partition padded to the number of variables.  Raising any
+    j entries of one run of equal parts gives the same partition, so the
+    results are indexed by how many entries j_b each run b raises; raising
+    the first j_b keeps the tuple weakly decreasing.  The coefficient of nu
+    is the number of k-subsets S with sort(nu - 1_S) = part.  When run
+    b - 1 is exactly one higher than run b, the j_b raised entries equal
+    its unraised entries in nu, and S may take any j_b of them all:
+    binomial(j_b + unraised, j_b).
+    """
+    runs = _runs(part)
+    # (vector, coefficient, entries left to raise, unraised entries of the last run)
+    found = [(list(part), 1, k, 0)]
+    for b, (start, length) in enumerate(runs):
+        adjacent = b > 0 and part[runs[b - 1][0]] == part[start] + 1
+        later = len(part) - start - length  # entries after this run
+        grown = []
+        for vec, coef, left, above in found:
+            above = above if adjacent else 0
+            if left <= later:
+                grown.append((vec, coef, left, length))
+            for j in range(max(1, left - later), min(length, left) + 1):
+                new = vec[:]
+                for i in range(start, start + j):
+                    new[i] += 1
+                grown.append((new, coef * math.comb(j + above, j), left - j, length - j))
+        found = grown
+    return tuple((tuple(vec), coef) for vec, coef, left, _ in found if not left)
+
+
+def _times_e(g, k):
+    """g * e_k, both as maps from padded partitions to monomial-symmetric coefficients."""
+    out = {}
+    for mu, coef in g.items():
+        for nu, count in _raise(mu, k):
+            out[nu] = out.get(nu, 0) + coef * count
+    return out
+
+
+@lru_cache(maxsize=None)
+def _e_monomial(a):
+    """prod_k e_k^{a_k} in len(a) variables as a map from partitions to integers.
+
+    Cached; callers must not modify the returned map.
+    """
+    for i, power in enumerate(a):
+        if power:
+            rest = a[:i] + (power - 1,) + a[i + 1 :]
+            return _times_e(_e_monomial(rest), i + 1)
+    return {a: 1}
+
+
 def to_elementary(f):
     """Rewrite a symmetric polynomial as a polynomial in e_1, .., e_d.
 
-    Classical descent: repeatedly subtract the e-monomial whose expansion
-    has the same lex-leading term.  Terminates with the unique preimage;
-    raises ValueError when f is not symmetric (detected by a lex-leading
-    exponent that fails to be weakly decreasing).
+    Classical descent on the monomial-symmetric coefficients, that is on
+    the coefficients of the weakly decreasing exponents: repeatedly
+    subtract the e-monomial whose expansion has the same lex-leading
+    partition.  The arithmetic is in integers after clearing the common
+    denominator.  Raises ValueError when f is not symmetric.
     """
     d = f.nvars
-    remainder = f
+    coefficients = _orbit_coefficients(f, d)
+    if coefficients is None:
+        raise ValueError("polynomial is not symmetric")
+    remainder, denom = _clear_denominators(coefficients)
     result = {}
-    while remainder.terms:
-        lead = max(remainder.terms)
-        if any(lead[i] < lead[i + 1] for i in range(d - 1)):
-            raise ValueError("polynomial is not symmetric")
-        coef = remainder.terms[lead]
-        e_exp = tuple(
-            lead[i] - (lead[i + 1] if i + 1 < d else 0) for i in range(d)
-        )
-        result[e_exp] = coef
-        expansion = SparsePoly.const(d, 1)
-        for i, a in enumerate(e_exp):
-            if a:
-                expansion = expansion * elementary_symmetric(i + 1, d) ** a
-        remainder = remainder - coef * expansion
+    while remainder:
+        lead = max(remainder)
+        coef = remainder[lead]
+        e_exp = tuple(lead[i] - (lead[i + 1] if i + 1 < d else 0) for i in range(d))
+        result[e_exp] = QQ(coef, denom)
+        for nu, c in _e_monomial(e_exp).items():
+            acc = remainder.get(nu, 0) - coef * c
+            if acc:
+                remainder[nu] = acc
+            else:
+                remainder.pop(nu, None)
     return SparsePoly._make(d, result)
 
 

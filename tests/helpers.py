@@ -3,12 +3,22 @@
 Everything here is deliberately independent of the library internals it
 checks: counts come from closed forms, Schur polynomials from the dual
 Jacobi-Trudi determinant, and random polynomials from seeded generators.
+The symmetry check, the change to e-coordinates and the kernel generators
+have slow x-space oracles here, computed term by term over all variables.
 """
 
 import itertools
 import math
 
-from nchilb.polynomial import SparsePoly, elementary_symmetric, from_elementary
+from nchilb.polynomial import (
+    NonDivisibleError,
+    SparsePoly,
+    elementary_symmetric,
+    exact_divide,
+    from_elementary,
+    partitions_in_box,
+    schur,
+)
 
 
 def fuss_catalan_trees(m, size):
@@ -116,3 +126,94 @@ def _partitions_of(total, largest=None):
     for part in range(min(total, largest), 0, -1):
         for rest in _partitions_of(total - part, part):
             yield (part,) + rest
+
+
+# ---------------------------------------------------------------------------
+# x-space oracles
+
+
+def _swap(d, i):
+    sigma = list(range(d))
+    sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+    return tuple(sigma)
+
+
+def oracle_is_symmetric(f, block=None):
+    """Invariance under the adjacent transpositions that generate the group."""
+    d = f.nvars
+    if block is None:
+        ranges = [(0, d)]
+    else:
+        p, q = block
+        ranges = [(0, p), (p, p + q)]
+    return all(
+        f.permute(_swap(d, i)) == f for lo, hi in ranges for i in range(lo, hi - 1)
+    )
+
+
+def oracle_to_elementary(f):
+    """Descent in x-space: subtract fully expanded e-monomials in all d variables."""
+    d = f.nvars
+    remainder = f
+    result = {}
+    while remainder.terms:
+        lead = max(remainder.terms)
+        if any(lead[i] < lead[i + 1] for i in range(d - 1)):
+            raise ValueError("polynomial is not symmetric")
+        coef = remainder.terms[lead]
+        e_exp = tuple(lead[i] - (lead[i + 1] if i + 1 < d else 0) for i in range(d))
+        result[e_exp] = coef
+        expansion = SparsePoly.const(d, 1)
+        for i, a in enumerate(e_exp):
+            if a:
+                expansion = expansion * elementary_symmetric(i + 1, d) ** a
+        remainder = remainder - coef * expansion
+    return SparsePoly(d, result)
+
+
+def _place(poly, positions, nvars):
+    terms = {}
+    for exp, coef in poly.terms.items():
+        new = [0] * nvars
+        for i, a in enumerate(exp):
+            new[positions[i]] = a
+        terms[tuple(new)] = coef
+    return SparsePoly(nvars, terms)
+
+
+def oracle_shuffle(f, p, g, q, m):
+    """Shuffle product of f (p variables) and g (q variables), one term per subset.
+
+    Sums f(x_I) g(x_J) prod_{i in I, j in J} (x_j - x_i)^(m-1) over the
+    p-subsets I; for m = 0 the sum is kept as one fraction and divided out.
+    """
+    d = p + q
+    if p == 0 or q == 0:
+        return _place(f, tuple(range(p)), d) * _place(g, tuple(range(p, d)), d)
+    numerator = SparsePoly.zero(d)
+    denominator = SparsePoly.const(d, 1)
+    for left in itertools.combinations(range(d), p):
+        right = tuple(j for j in range(d) if j not in left)
+        term = _place(f, left, d) * _place(g, right, d)
+        kernel = SparsePoly.const(d, 1)
+        for i in left:
+            for j in right:
+                kernel = kernel * (SparsePoly.variable(d, j) - SparsePoly.variable(d, i))
+        if m >= 1:
+            numerator = numerator + term * kernel ** (m - 1)
+        else:
+            numerator = numerator * kernel + term * denominator
+            denominator = denominator * kernel
+    try:
+        return exact_divide(numerator, denominator)
+    except NonDivisibleError as exc:
+        raise AssertionError("shuffle sum is not a polynomial") from exc
+
+
+def oracle_kernel_generators(d, m):
+    """The x-space polynomials s_lam * (e_q cup 1), in the library's order."""
+    return [
+        oracle_shuffle(schur(lam, p), p, elementary_symmetric(d - p, d - p), d - p, m)
+        for p in range(d)
+        for lam in partitions_in_box(p, d - p)
+    ]

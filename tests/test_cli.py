@@ -171,8 +171,21 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_thread_env_var_does_not_change_output(capsys, monkeypatch):
-    baseline = run(capsys, "chow", "verify", "--m", "2", "--d", "3")
-    monkeypatch.setenv("COHA_HILB_THREADS", "4")
-    threaded = run(capsys, "chow", "verify", "--m", "2", "--d", "3")
-    assert baseline == threaded
+def test_m_above_nine_exits_2_where_words_are_printed(capsys):
+    for sub in ("enum", "bijection"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["forests", sub, "--m", "10", "--d", "1"])
+        assert excinfo.value.code == 2
+        assert "m = 10" in capsys.readouterr().err
+    # counting prints no words, so it needs no digit encoding
+    code, out, _ = run(capsys, "forests", "count", "--m", "10", "--d", "2")
+    assert code == 0
+    assert out.strip() == "10"
+
+
+@pytest.mark.parametrize("sub", ["presentation", "hilbert", "verify"])
+def test_chow_subcommands_take_no_seed_or_trials(capsys, sub):
+    for flag in ("--seed", "--trials"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chow", sub, "--m", "2", "--d", "2", flag, "1"])
+        assert excinfo.value.code == 2

@@ -325,3 +325,10 @@ def test_jtuple_to_forest_rejects_invalid():
 def test_forest_json_round_trip():
     for f in enumerate_forests(2, 3, 1) + enumerate_forests(3, 2, 2):
         assert forest_from_json(forest_to_json(f), f.m) == f
+
+
+def test_forest_json_refuses_m_above_nine():
+    forest = enumerate_forests(10, 1, 1)[0]
+    with pytest.raises(ValueError, match="m = 10"):
+        forest_to_json(forest)
+    assert forest_to_json(enumerate_forests(9, 1, 1)[0]) == [[""]]

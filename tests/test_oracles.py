@@ -1,0 +1,133 @@
+"""The partition-space symmetry check, change of basis and kernel generators
+against the x-space oracles in helpers.py and the stored benchmark inputs."""
+
+import itertools
+import os
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nchilb.coha import kernel_generators
+from nchilb.polynomial import (
+    SparsePoly,
+    from_elementary,
+    is_symmetric,
+    poly_to_text,
+    to_elementary,
+)
+from nchilb.presentation import kernel_ideal_generators
+from nchilb.rationals import QQ
+
+from helpers import (
+    oracle_is_symmetric,
+    oracle_kernel_generators,
+    oracle_to_elementary,
+)
+
+INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs")
+
+ORACLE_GRID = [(m, d) for m in range(5) for d in range(1, 5)] + [(2, 5)]
+
+
+@pytest.mark.parametrize("m,d", ORACLE_GRID)
+def test_kernel_generators_equal_shuffle_oracle(m, d):
+    gens = kernel_generators(d, m)
+    oracle = oracle_kernel_generators(d, m)
+    assert [g.poly for g in gens] == oracle
+    assert kernel_ideal_generators(d, m) == [
+        oracle_to_elementary(f) for f in oracle if not f.is_zero()
+    ]
+
+
+@pytest.mark.parametrize("m,d", [(3, 5), (2, 6), (5, 4)])
+def test_e_generators_equal_stored_inputs(m, d):
+    with open(os.path.join(INPUTS, f"m{m}_d{d}.txt")) as fh:
+        stored = fh.read()
+    gens = kernel_ideal_generators(d, m)
+    assert "".join(poly_to_text(g, names="e") + "\n" for g in gens) == stored
+
+
+def test_e_generators_carry_rational_coefficients():
+    # downstream code divides coefficients, which must not turn into floats
+    for g in kernel_ideal_generators(3, 2):
+        assert all(isinstance(c, QQ) for c in g.terms.values())
+    for element in kernel_generators(3, 2):
+        assert all(isinstance(c, QQ) for c in element.poly.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+fractions = st.builds(
+    Fraction,
+    st.integers(-30, 30).filter(bool),
+    st.integers(1, 12),
+)
+
+
+@st.composite
+def e_polynomials(draw):
+    """A polynomial in d e-variables with nonzero rational coefficients, one of them non-integral."""
+    d = draw(st.integers(1, 4))
+    exps = draw(
+        st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=1, max_size=5, unique=True)
+    )
+    coefs = draw(st.lists(fractions, min_size=len(exps), max_size=len(exps)))
+    coefs[0] = Fraction(2 * coefs[0].numerator + 1, 2 * coefs[0].denominator)
+    return SparsePoly(d, dict(zip(exps, coefs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(e_polynomials())
+def test_to_elementary_inverts_from_elementary(g):
+    assert to_elementary(from_elementary(g)) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(e_polynomials(), st.data())
+def test_one_changed_orbit_member_breaks_symmetry(g, data):
+    f = from_elementary(g)
+    d = f.nvars
+    assume(d >= 2)
+    exp = data.draw(st.tuples(*[st.integers(0, 3)] * d).filter(lambda e: len(set(e)) > 1))
+    delta = data.draw(fractions)
+    terms = dict(f.terms)
+    terms[exp] = terms.get(exp, 0) + delta
+    broken = SparsePoly(d, terms)
+    assert not oracle_is_symmetric(broken)
+    assert not is_symmetric(broken)
+    with pytest.raises(ValueError):
+        to_elementary(broken)
+
+
+@st.composite
+def block_polynomials(draw):
+    """A polynomial in p + q variables that is often, but not always, S_p x S_q-invariant."""
+    p = draw(st.integers(0, 3))
+    q = draw(st.integers(0, 3))
+    d = p + q
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=0, max_size=3))
+    coefs = draw(st.lists(fractions, min_size=len(exps), max_size=len(exps)))
+    f = SparsePoly(d, dict(zip(exps, coefs)))
+    if draw(st.booleans()):
+        images = SparsePoly.zero(d)
+        for left in itertools.permutations(range(p)):
+            for right in itertools.permutations(range(p, d)):
+                images = images + f.permute(left + right)
+        f = images
+    if draw(st.booleans()) and d:
+        exp = draw(st.tuples(*[st.integers(0, 2)] * d))
+        terms = dict(f.terms)
+        terms[exp] = terms.get(exp, 0) + draw(fractions)
+        f = SparsePoly(d, terms)
+    return f, (p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_polynomials())
+def test_is_symmetric_agrees_with_transposition_oracle(case):
+    f, block = case
+    assert is_symmetric(f, block=block) == oracle_is_symmetric(f, block=block)
+    assert is_symmetric(f) == oracle_is_symmetric(f)

@@ -157,6 +157,22 @@ def test_presentation_report_2_3():
     assert set(data) >= {"generators", "groebner", "standard_monomials", "verdicts"}
 
 
+def test_presentation_report_computes_generators_once(monkeypatch):
+    import nchilb.presentation
+
+    calls = []
+    original = nchilb.presentation.kernel_generators
+
+    def counted(d, m):
+        calls.append((d, m))
+        return original(d, m)
+
+    monkeypatch.setattr(nchilb.presentation, "kernel_generators", counted)
+    report = presentation_report(2, 4)
+    assert calls == [(4, 2)]
+    assert report.groebner.polys == kernel_ideal(2, 4).polys
+
+
 def test_minimal_generator_subset():
     gens = kernel_ideal_generators(3, 2)
     subset = minimal_generator_subset(gens, e_weights(3))
