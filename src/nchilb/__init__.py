@@ -73,7 +73,6 @@ from .groebner import GroebnerBasis, buchberger, ideal_equals, normal_form
 from .presentation import (
     PresentationReport,
     chern_monomial,
-    hilbert_function,
     kernel_ideal,
     kernel_ideal_generators,
     local_multiplicity,

@@ -14,6 +14,7 @@ import sys
 from . import __version__
 from .coha import CohaElement, coha_mul, forbidden_polynomial, kernel_generators, psi, psi_product
 from .forests import (
+    ambient_dimension,
     check_digit_alphabet,
     enumerate_forests,
     forest_to_json,
@@ -263,10 +264,12 @@ def cmd_chow_presentation(parser, args):
 def cmd_chow_hilbert(parser, args):
     if args.m < 0 or args.d < 1:
         parser.error("need --m >= 0 and --d >= 1")
-    gb = kernel_ideal(args.m, args.d)
     max_deg = args.max_deg
     if max_deg is None:
-        max_deg = max((args.m - 1) * args.d * args.d + args.d, 0)
+        max_deg = max(ambient_dimension(args.m, args.d, 1), 0)
+    elif max_deg < 0:
+        parser.error("--max-deg must be >= 0")
+    gb = kernel_ideal(args.m, args.d)
     values = gb.hilbert_function(max_deg)
     _emit(
         {"m": args.m, "d": args.d, "hilbert": values},
@@ -292,7 +295,13 @@ def cmd_chow_verify(parser, args):
     return 0 if basis_ok and poincare_ok else 1
 
 
+def _check_trials(parser, args):
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
+
+
 def cmd_chow_multiplicity(parser, args):
+    _check_trials(parser, args)
     if args.vars < args.local:
         parser.error("--vars must be at least --local")
     try:
@@ -333,6 +342,7 @@ def _worked_example_pair():
 
 
 def cmd_paper_example(parser, args):
+    _check_trials(parser, args)
     checks = []
 
     def check(name, ok, detail=""):

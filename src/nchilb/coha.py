@@ -5,23 +5,23 @@ of elements of arities p and q sums, over all complementary index pairs
 (I, J) of {1,..,d}, the product of the factors evaluated at x_I and x_J
 times the interaction kernel prod (x_j - x_i)^(m-1).  For m >= 1 the
 product is computed from a single block term, symmetrized on partitions
-with integer coefficients.  For m = 0 the kernel exponent is -1; the sum
-is then accumulated as a single exact fraction (running numerator and
-denominator) and divided out at the end, which is guaranteed to be exact.
+with integer coefficients.  Every such shuffle sum, including m = 0 where
+the kernel is a denominator, is also one antisymmetrization: multiplying
+the block term by the Vandermonde product turns the sum into rho of a
+polynomial, whose division by the discriminant is exact.
 
 The same shuffle machinery produces the degree-d kernel generators
 f * (e_q cup g), with f a Schur polynomial in the first p variables and
 g = 1, which present the quotient rings downstream.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .polynomial import (
-    NonDivisibleError,
     SparsePoly,
+    _block_discriminant,
     _clear_denominators,
     _embed,
     _orbit,
@@ -29,7 +29,6 @@ from .polynomial import (
     _orbit_size,
     _stabilizer_order,
     elementary_symmetric,
-    exact_divide,
     is_symmetric,
     partitions_in_box,
     rho,
@@ -79,53 +78,6 @@ class CohaElement:
 
         poly, _ = poly_from_json(obj["poly"])
         return cls(obj["d"], poly)
-
-
-def _kernel_factors(d, left, right):
-    return [
-        SparsePoly.variable(d, j) - SparsePoly.variable(d, i)
-        for i in left
-        for j in right
-    ]
-
-
-def _shuffle_sum(d, p, m, numerator_for):
-    """Sum over complementary (I, J) of numerator_for(I, J) times the kernel.
-
-    numerator_for returns a polynomial in d variables.  For m >= 1 the
-    kernel power expands directly; for m = 0 each term carries denominator
-    prod (x_j - x_i) and the whole sum is kept as one exact fraction whose
-    final division must succeed.
-    """
-    q = d - p
-    everything = set(range(d))
-    if m >= 1:
-        total = SparsePoly.zero(d)
-        for left in itertools.combinations(range(d), p):
-            right = tuple(sorted(everything - set(left)))
-            term = numerator_for(left, right)
-            if m > 1:
-                for factor in _kernel_factors(d, left, right):
-                    term = term * factor ** (m - 1)
-            total = total + term
-        return total
-    numerator = SparsePoly.zero(d)
-    denominator = SparsePoly.const(d, 1)
-    for left in itertools.combinations(range(d), p):
-        right = tuple(sorted(everything - set(left)))
-        term_num = numerator_for(left, right)
-        term_den = SparsePoly.const(d, 1)
-        for factor in _kernel_factors(d, left, right):
-            term_den = term_den * factor
-        numerator = numerator * term_den + term_num * denominator
-        denominator = denominator * term_den
-    try:
-        return exact_divide(numerator, denominator)
-    except NonDivisibleError as exc:  # the theory forbids this
-        raise ArithmeticError(
-            "shuffle sum with negative kernel exponent is not a polynomial; "
-            "this indicates a bug in the shuffle accumulation"
-        ) from exc
 
 
 def _mul_int(a, b):
@@ -201,6 +153,23 @@ def _block_shuffle(f, g, m):
     return SparsePoly._make(d, terms)
 
 
+def _antisymmetrized_shuffle(base, p, m):
+    """Sum over complementary (I, J) of base(x_I, x_J) prod_{i in I, j in J} (x_j - x_i)^(m-1).
+
+    base must be S_p x S_q-invariant.  With Delta_p and Delta_q the
+    Vandermonde products of the two blocks and Delta_pq = prod_{i<=p<j}
+    (x_j - x_i), the product Delta_p Delta_q Delta_pq is the full
+    Vandermonde, so rho(base Delta_p Delta_q Delta_pq^m) is the sum of
+    sigma(base Delta_pq^(m-1)) over S_d, which counts every shuffle term
+    p! q! times.  This holds for every m >= 0.
+    """
+    q = base.nvars - p
+    kernel = SparsePoly(p + q, _kernel_power(p, q, m))
+    return rho(base * _block_discriminant(p, q) * kernel) * QQ(
+        1, math.factorial(p) * math.factorial(q)
+    )
+
+
 def coha_mul(f, g, m):
     """Shuffle product of two elements, of arity f.d + g.d."""
     if m < 0:
@@ -212,11 +181,8 @@ def coha_mul(f, g, m):
     if m >= 1:
         return CohaElement(f.d + g.d, _block_shuffle(f, g, m))
     d = f.d + g.d
-
-    def numerator_for(left, right):
-        return _embed(f.poly, left, d) * _embed(g.poly, right, d)
-
-    return CohaElement(d, _shuffle_sum(d, f.d, m, numerator_for))
+    base = _embed(f.poly, tuple(range(f.d)), d) * _embed(g.poly, tuple(range(f.d, d)), d)
+    return CohaElement(d, _antisymmetrized_shuffle(base, f.d, m))
 
 
 def psi(k):
@@ -266,14 +232,8 @@ def shuffle_expression(h, p, q, m):
     d = p + q
     if h.nvars != d:
         raise ValueError(f"h has {h.nvars} variables, expected {d}")
-
-    def numerator_for(left, right):
-        term = _embed(h, left + right, d)
-        for j in right:
-            term = term * SparsePoly.variable(d, j)
-        return term
-
-    return _shuffle_sum(d, p, m, numerator_for)
+    right = SparsePoly.monomial(d, (0,) * p + (1,) * q)
+    return _antisymmetrized_shuffle(h * right, p, m)
 
 
 def module_basis(p, q):

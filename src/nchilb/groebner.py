@@ -218,23 +218,31 @@ class GroebnerBasis:
     def is_unit_ideal(self):
         return any(lead == (0,) * self.nvars for lead in self._leads)
 
-    def _pure_power_bounds(self):
-        """For each variable the least pure-power head exponent, or None."""
-        bounds = [None] * self.nvars
-        for lead in self._leads:
-            support = [i for i, a in enumerate(lead) if a]
-            if len(support) == 1:
-                i = support[0]
-                if bounds[i] is None or lead[i] < bounds[i]:
-                    bounds[i] = lead[i]
-            elif not support:
-                bounds = [0] * self.nvars
-        return bounds
+    def _order_ideal(self, max_deg=None):
+        """The monomials outside the head ideal, as (exponent, weighted degree).
+
+        Depth first from 1, raising one variable at or after the last one
+        raised, so each monomial is reached once.  A monomial in the head
+        ideal is not expanded: its multiples lie in the ideal too.  With
+        max_deg the walk stops at that weighted degree; without it the walk
+        ends only when the quotient is finite-dimensional.
+        """
+        weights, leads, n = self.weights, self._leads, self.nvars
+        stack = [((0,) * n, 0, 0)]  # exponent, weighted degree, first raisable variable
+        while stack:
+            exp, deg, first = stack.pop()
+            if any(_divides(lead, exp) for lead in leads):
+                continue
+            yield exp, deg
+            for i in range(first, n):
+                raised = deg + weights[i]
+                if max_deg is None or raised <= max_deg:
+                    stack.append((exp[:i] + (exp[i] + 1,) + exp[i + 1 :], raised, i))
 
     def is_finite_dimensional(self):
-        if self.nvars == 0:
-            return True
-        return all(b is not None for b in self._pure_power_bounds())
+        """Every variable has a pure-power head, or the ideal is the unit ideal."""
+        powers = {i for lead in self._leads for i, a in enumerate(lead) if a and a == sum(lead)}
+        return self.is_unit_ideal() or len(powers) == self.nvars
 
     def standard_monomials(self):
         """All monomials outside the head ideal; requires a finite quotient.
@@ -242,45 +250,22 @@ class GroebnerBasis:
         Sorted by the monomial order, so grouping by weighted degree gives
         the Hilbert function directly.
         """
-        bounds = self._pure_power_bounds()
-        if any(b is None for b in bounds):
+        if not self.is_finite_dimensional():
             raise ValueError("quotient is not finite-dimensional")
-        out = []
-        for exp in _box(bounds):
-            if not any(_divides(lead, exp) for lead in self._leads):
-                out.append(exp)
-        out.sort(key=lambda exp: _order_key(exp, self.weights))
-        return out
+        key = lambda exp: _order_key(exp, self.weights)
+        return sorted((exp for exp, _ in self._order_ideal()), key=key)
 
     def quotient_dimension(self):
         return len(self.standard_monomials())
 
     def hilbert_function(self, max_deg):
         """Dimensions of the weighted-degree components 0..max_deg of the quotient."""
+        if max_deg < 0:
+            raise ValueError(f"max_deg must be >= 0, got {max_deg}")
         counts = [0] * (max_deg + 1)
-        for exp in _weighted_cone(self.weights, max_deg):
-            if not any(_divides(lead, exp) for lead in self._leads):
-                counts[sum(w * a for w, a in zip(self.weights, exp))] += 1
+        for _, deg in self._order_ideal(max_deg):
+            counts[deg] += 1
         return counts
-
-
-def _box(bounds):
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0]):
-        for rest in _box(bounds[1:]):
-            yield (head,) + rest
-
-
-def _weighted_cone(weights, max_deg):
-    if not weights:
-        yield ()
-        return
-    w = weights[0]
-    for head in range(max_deg // w + 1):
-        for rest in _weighted_cone(weights[1:], max_deg - w * head):
-            yield (head,) + rest
 
 
 def ideal_equals(a, b):

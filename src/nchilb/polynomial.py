@@ -395,10 +395,16 @@ def rho_pq(f, p, q):
             sigma = left + tuple(p + i for i in right)
             image = f.permute(sigma)
             total = total + (image if sign_l * sign_r > 0 else -image)
-    block_disc = _embed(discriminant(p), tuple(range(p)), d) * _embed(
+    return exact_divide(total, _block_discriminant(p, q))
+
+
+@lru_cache(maxsize=None)
+def _block_discriminant(p, q):
+    """The discriminants of x_1..x_p and of x_{p+1}..x_{p+q}, multiplied, in p + q variables."""
+    d = p + q
+    return _embed(discriminant(p), tuple(range(p)), d) * _embed(
         discriminant(q), tuple(range(p, d)), d
     )
-    return exact_divide(total, block_disc)
 
 
 def _embed(poly, positions, nvars):

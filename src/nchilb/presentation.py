@@ -37,7 +37,6 @@ from .rationals import QQ
 __all__ = [
     "kernel_ideal",
     "kernel_ideal_generators",
-    "hilbert_function",
     "chern_monomial",
     "verify_chern_basis",
     "verify_poincare_match",
@@ -67,11 +66,6 @@ def kernel_ideal(m, d):
     if d < 1:
         raise ValueError("d must be positive")
     return buchberger(kernel_ideal_generators(d, m), e_weights(d))
-
-
-def hilbert_function(gb, max_deg):
-    """Quotient dimensions by weighted degree, 0..max_deg."""
-    return gb.hilbert_function(max_deg)
 
 
 def chern_monomial(b, d):
@@ -147,9 +141,13 @@ def local_multiplicity(polys, trials=5, seed=0, local_vars=2):
     The first `local_vars` variables are kept; the remaining ones are
     parameters, specialized to random integers in [-100, 100] that keep
     every leading coefficient nonzero.  Each trial computes the dimension
-    of the specialized quotient; the minimum over trials is the generic
-    value by semicontinuity.  Raises if no trial is finite-dimensional.
+    of the specialized quotient.  The result is the minimum over the
+    trials, which by semicontinuity is an upper bound on the generic value;
+    it is probabilistic, not a proof.  Raises ValueError when trials < 1 and
+    RuntimeError when fewer than `trials` specializations were usable.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if not polys:
         raise ValueError("need at least one polynomial")
     nvars = polys[0].nvars
@@ -176,9 +174,10 @@ def local_multiplicity(polys, trials=5, seed=0, local_vars=2):
         gb = buchberger(specialized, (1,) * local_vars)
         if gb.is_finite_dimensional():
             dimensions.append(gb.quotient_dimension())
-    if not dimensions:
+    if len(dimensions) < trials:
         raise RuntimeError(
-            "every specialization produced an infinite-dimensional quotient"
+            f"only {len(dimensions)} of {trials} requested specializations were "
+            "usable (nonzero leading coefficients, a finite-dimensional quotient)"
         )
     return min(dimensions)
 

@@ -4,36 +4,21 @@ All coefficient arithmetic in this package is exact.  When the compiled
 gmpy2 extension is importable its `mpq` type is used as the rational
 kernel; otherwise the pure-Python `fractions.Fraction` is selected at
 import time.  Both are arbitrary precision and canonical (reduced,
-positive denominator); the choice affects speed only.
-
-Set NCHILB_RATIONAL_BACKEND=fraction or =gmpy2 to force a backend.
+positive denominator); the choice affects speed only.  `BACKEND` names
+the one in use.
 """
 
-import os
 from fractions import Fraction
 
 __all__ = ["QQ", "BACKEND", "rational_from_string"]
 
-_requested = os.environ.get("NCHILB_RATIONAL_BACKEND", "").strip().lower()
+try:
+    from gmpy2 import mpq as QQ
 
-if _requested == "fraction":
+    BACKEND = "gmpy2"
+except ImportError:
     QQ = Fraction
     BACKEND = "fraction"
-elif _requested in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as QQ
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        QQ = Fraction
-        BACKEND = "fraction"
-else:
-    raise ValueError(
-        "NCHILB_RATIONAL_BACKEND must be 'gmpy2' or 'fraction', "
-        f"got {_requested!r}"
-    )
 
 
 def rational_from_string(s: str):

@@ -5,6 +5,8 @@ checks: counts come from closed forms, Schur polynomials from the dual
 Jacobi-Trudi determinant, and random polynomials from seeded generators.
 The symmetry check, the change to e-coordinates and the kernel generators
 have slow x-space oracles here, computed term by term over all variables.
+The quotient queries of a basis have oracles that visit every monomial of
+a box or a weighted cone and test it against every head.
 """
 
 import itertools
@@ -217,3 +219,76 @@ def oracle_kernel_generators(d, m):
         for p in range(d)
         for lam in partitions_in_box(p, d - p)
     ]
+
+
+# ---------------------------------------------------------------------------
+# quotient oracles: exhaustive walks over a box and a weighted cone
+
+
+def _box(bounds):
+    if not bounds:
+        yield ()
+        return
+    for head in range(bounds[0]):
+        for rest in _box(bounds[1:]):
+            yield (head,) + rest
+
+
+def _weighted_cone(weights, max_deg):
+    if not weights:
+        yield ()
+        return
+    w = weights[0]
+    for head in range(max_deg // w + 1):
+        for rest in _weighted_cone(weights[1:], max_deg - w * head):
+            yield (head,) + rest
+
+
+def _outside(heads, exp):
+    return not any(all(h <= a for h, a in zip(head, exp)) for head in heads)
+
+
+def _pure_power_bounds(heads, nvars):
+    """For each variable the least pure-power head exponent, or None; zeros for the unit ideal."""
+    if any(not any(head) for head in heads):
+        return [0] * nvars
+    bounds = [None] * nvars
+    for head in heads:
+        support = [i for i, a in enumerate(head) if a]
+        if len(support) == 1:
+            i = support[0]
+            if bounds[i] is None or head[i] < bounds[i]:
+                bounds[i] = head[i]
+    return bounds
+
+
+def oracle_is_finite_dimensional(heads, nvars):
+    return all(b is not None for b in _pure_power_bounds(heads, nvars))
+
+
+def oracle_standard_monomials(heads, weights):
+    """Every monomial of the pure-power box outside the head ideal, in the monomial order.
+
+    The order is weighted degree first, then reverse lexicography; raises
+    ValueError when some variable has no pure-power head.
+    """
+    bounds = _pure_power_bounds(heads, len(weights))
+    if any(b is None for b in bounds):
+        raise ValueError("quotient is not finite-dimensional")
+    found = [exp for exp in _box(bounds) if _outside(heads, exp)]
+    return sorted(
+        found,
+        key=lambda exp: (
+            sum(w * a for w, a in zip(weights, exp)),
+            tuple(-a for a in reversed(exp)),
+        ),
+    )
+
+
+def oracle_hilbert_function(heads, weights, max_deg):
+    """Monomials outside the head ideal by weighted degree, from the whole cone."""
+    counts = [0] * (max_deg + 1)
+    for exp in _weighted_cone(tuple(weights), max_deg):
+        if _outside(heads, exp):
+            counts[sum(w * a for w, a in zip(weights, exp))] += 1
+    return counts

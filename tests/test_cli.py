@@ -100,6 +100,16 @@ def test_chow_hilbert(capsys):
     assert out.split() == ["1", "1", "2", "1"] + ["0"] * 9
 
 
+def test_chow_hilbert_max_deg_bounds(capsys):
+    code, out, _ = run(capsys, "chow", "hilbert", "--m", "2", "--d", "3", "--max-deg", "0")
+    assert code == 0
+    assert out.split() == ["1"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chow", "hilbert", "--m", "2", "--d", "3", "--max-deg", "-1"])
+    assert excinfo.value.code == 2
+    assert "--max-deg must be >= 0" in capsys.readouterr().err
+
+
 def test_chow_verify(capsys):
     code, out, _ = run(capsys, "chow", "verify", "--m", "2", "--d", "2")
     assert code == 0
@@ -120,6 +130,22 @@ def test_chow_multiplicity(capsys):
     )
     assert code == 0
     assert out.strip() == "2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chow", "multiplicity", "--vars", "2", "--poly", "1*x1^2", "--poly", "1*x2"],
+        ["paper-example"],
+    ],
+    ids=["multiplicity", "paper-example"],
+)
+def test_trials_below_one_exit_2(capsys, argv):
+    for trials in ("0", "-3"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--trials", trials])
+        assert excinfo.value.code == 2
+        assert "--trials must be >= 1" in capsys.readouterr().err
 
 
 def test_paper_example_passes(capsys):

@@ -156,6 +156,13 @@ def test_infinite_quotient_detected():
     assert gb.hilbert_function(2) == [1, 1, 2]
 
 
+def test_hilbert_function_rejects_negative_degree():
+    gb = paper_ideal()
+    assert gb.hilbert_function(0) == [1]
+    with pytest.raises(ValueError, match="max_deg must be >= 0"):
+        gb.hilbert_function(-1)
+
+
 def test_weighted_degrevlex_leading_terms():
     # weight makes e2 beat e1^2 impossible: both weigh 2, revlex favours e1^2
     gb = GroebnerBasis(2, (1, 2), (SparsePoly.variable(2, 0) ** 2 + SparsePoly.variable(2, 1),))

@@ -1,5 +1,7 @@
 """The partition-space symmetry check, change of basis and kernel generators
-against the x-space oracles in helpers.py and the stored benchmark inputs."""
+against the x-space oracles in helpers.py and the stored benchmark inputs;
+the antisymmetrized m = 0 shuffle product against the subset-sum oracle; and
+the order-ideal walk of a basis against exhaustive box and cone walks."""
 
 import itertools
 import os
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nchilb.coha import kernel_generators
+from nchilb.coha import CohaElement, coha_mul, kernel_generators
+from nchilb.groebner import GroebnerBasis, buchberger
 from nchilb.polynomial import (
     SparsePoly,
     from_elementary,
@@ -21,8 +24,12 @@ from nchilb.presentation import kernel_ideal_generators
 from nchilb.rationals import QQ
 
 from helpers import (
+    oracle_hilbert_function,
+    oracle_is_finite_dimensional,
     oracle_is_symmetric,
     oracle_kernel_generators,
+    oracle_shuffle,
+    oracle_standard_monomials,
     oracle_to_elementary,
 )
 
@@ -131,3 +138,69 @@ def test_is_symmetric_agrees_with_transposition_oracle(case):
     f, block = case
     assert is_symmetric(f, block=block) == oracle_is_symmetric(f, block=block)
     assert is_symmetric(f) == oracle_is_symmetric(f)
+
+
+@st.composite
+def symmetric_factors(draw):
+    """Symmetric f in p and g in q variables, p + q <= 4, from random e-polynomials."""
+    p = draw(st.integers(0, 3))
+    q = draw(st.integers(0, 4 - p))
+    factors = []
+    for n in (p, q):
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), max_size=3, unique=True))
+        coefs = draw(st.lists(fractions, min_size=len(exps), max_size=len(exps)))
+        factors.append(from_elementary(SparsePoly(n, dict(zip(exps, coefs)))))
+    return factors[0], p, factors[1], q
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_factors())
+def test_m0_product_equals_subset_sum_oracle(case):
+    f, p, g, q = case
+    product = coha_mul(CohaElement(p, f), CohaElement(q, g), 0)
+    assert product.d == p + q
+    assert product.poly == oracle_shuffle(f, p, g, q, 0)
+
+
+@st.composite
+def head_sets(draw):
+    """Monomial heads in 0-4 variables with positive weights.
+
+    Often every variable gets a pure power (a finite quotient); sometimes
+    the heads include 1 (the unit ideal).  Half the time the basis is the
+    reduced one from buchberger, otherwise the raw heads, redundant ones
+    included.
+    """
+    n = draw(st.integers(0, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    heads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+    if draw(st.booleans()):
+        for i in range(n):
+            heads.append(tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(n)))
+    if draw(st.integers(0, 9)) == 0:
+        heads.append((0,) * n)
+    monomials = [SparsePoly.monomial(n, h) for h in heads]
+    if monomials and draw(st.booleans()):
+        gb = buchberger(monomials, weights)
+    else:
+        gb = GroebnerBasis(n, weights, tuple(monomials))
+    return gb, heads
+
+
+@settings(max_examples=200, deadline=None)
+@given(head_sets(), st.integers(0, 12))
+def test_quotient_queries_equal_exhaustive_walks(case, max_deg):
+    gb, heads = case
+    weights = gb.weights
+    assert gb.hilbert_function(max_deg) == oracle_hilbert_function(heads, weights, max_deg)
+    finite = oracle_is_finite_dimensional(heads, gb.nvars)
+    assert gb.is_finite_dimensional() == finite
+    if finite:
+        standard = oracle_standard_monomials(heads, weights)
+        assert gb.standard_monomials() == standard
+        assert gb.quotient_dimension() == len(standard)
+    else:
+        with pytest.raises(ValueError):
+            gb.standard_monomials()
+        with pytest.raises(ValueError):
+            gb.quotient_dimension()

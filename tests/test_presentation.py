@@ -138,8 +138,15 @@ def test_local_multiplicity_trivial_cases():
 def test_local_multiplicity_error_on_infinite():
     y = SparsePoly.variable(2, 0)
     z = SparsePoly.variable(2, 1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="only 0 of 3 requested"):
         local_multiplicity([y * z], trials=3, seed=0)
+
+
+def test_local_multiplicity_needs_a_trial():
+    y, z = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            local_multiplicity([y, z], trials=trials)
 
 
 # ---------------------------------------------------------------------------
