@@ -155,10 +155,6 @@ def cmd_forests_bijection(parser, args):
 # coha
 
 
-def _element_payload(element):
-    return {"d": element.d, "poly": poly_to_json(element.poly)}
-
-
 def cmd_coha_mul(parser, args):
     if args.m < 0:
         parser.error("--m must be >= 0")
@@ -169,7 +165,7 @@ def cmd_coha_mul(parser, args):
         parser.error(str(exc))
     product = coha_mul(left, right, args.m)
     _emit(
-        _element_payload(product),
+        product.to_json(),
         args,
         lambda p: print(f"d={p['d']}:", poly_to_text(product.poly)),
     )
@@ -181,7 +177,7 @@ def cmd_coha_psi(parser, args):
         parser.error("--k must be >= 0")
     element = psi(args.k)
     _emit(
-        _element_payload(element),
+        element.to_json(),
         args,
         lambda p: print(f"psi_{args.k} =", poly_to_text(element.poly)),
     )
@@ -197,7 +193,7 @@ def cmd_coha_psi_product(parser, args):
     element = psi_product(ks, args.m)
     label = " * ".join(f"psi_{k}" for k in ks)
     _emit(
-        _element_payload(element),
+        element.to_json(),
         args,
         lambda p: print(f"{label} =", poly_to_text(element.poly)),
     )
@@ -220,7 +216,7 @@ def cmd_coha_relations(parser, args):
     if args.d < 1:
         parser.error("--d must be >= 1")
     gens = kernel_generators(args.d, args.m)
-    payload = [_element_payload(g) for g in gens]
+    payload = [g.to_json() for g in gens]
 
     def render(rows):
         for g in gens:
@@ -465,7 +461,7 @@ def build_parser():
         p.add_argument("--n", type=int, default=1, help="number of roots")
         if "by" in extra:
             p.add_argument("--by", choices=("dim", "codim"), default="dim")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
 
     coha = sub.add_parser("coha", help="shuffle-product algebra")
     csub = coha.add_subparsers(dest="subcommand", required=True)
@@ -476,27 +472,27 @@ def build_parser():
     p.add_argument("--left-arity", type=int, required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--right-arity", type=int, required=True)
-    p.set_defaults(func=cmd_coha_mul)
+    p.set_defaults(func=cmd_coha_mul, parser=p)
 
     p = csub.add_parser("psi", parents=[common])
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_coha_psi)
+    p.set_defaults(func=cmd_coha_psi, parser=p)
 
     p = csub.add_parser("psi-product", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ks", type=_int_list, required=True, help="comma-separated indices")
-    p.set_defaults(func=cmd_coha_psi_product)
+    p.set_defaults(func=cmd_coha_psi_product, parser=p)
 
     p = csub.add_parser("forbidden", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=cmd_coha_forbidden)
+    p.set_defaults(func=cmd_coha_forbidden, parser=p)
 
     p = csub.add_parser("relations", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_coha_relations)
+    p.set_defaults(func=cmd_coha_relations, parser=p)
 
     chow = sub.add_parser("chow", help="quotient-ring presentations")
     hsub = chow.add_subparsers(dest="subcommand", required=True)
@@ -505,18 +501,18 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--minimal", action="store_true", help="also report a minimal generator subset")
-    p.set_defaults(func=cmd_chow_presentation)
+    p.set_defaults(func=cmd_chow_presentation, parser=p)
 
     p = hsub.add_parser("hilbert", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--max-deg", type=int, default=None)
-    p.set_defaults(func=cmd_chow_hilbert)
+    p.set_defaults(func=cmd_chow_hilbert, parser=p)
 
     p = hsub.add_parser("verify", parents=[common])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_chow_verify)
+    p.set_defaults(func=cmd_chow_verify, parser=p)
 
     p = hsub.add_parser("multiplicity", parents=[common])
     p.add_argument("--vars", type=int, required=True, help="total variable count")
@@ -524,7 +520,7 @@ def build_parser():
     p.add_argument("--poly", action="append", required=True, help="repeatable polynomial input")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(func=cmd_chow_multiplicity)
+    p.set_defaults(func=cmd_chow_multiplicity, parser=p)
 
     p = sub.add_parser(
         "paper-example",
@@ -533,7 +529,7 @@ def build_parser():
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(func=cmd_paper_example)
+    p.set_defaults(func=cmd_paper_example, parser=p)
 
     return parser
 
@@ -542,7 +538,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ realize the forest-to-J-tuple-to-B-tuple bijections.
 """
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -209,23 +210,27 @@ def critical_pairs(forest):
     return result
 
 
+def _j_indices(forest, pairs):
+    """j of each pair (k, w): the nodes of trees 1..k-1 plus the words of tree k below w.
+
+    The words of a tree are stored in word order, so the second count is a
+    bisection.
+    """
+    before = list(itertools.accumulate((len(t) for t in forest.trees), initial=0))
+    return [before[k - 1] + bisect_left(forest.trees[k - 1].words, w) for k, w in pairs]
+
+
 def j_index(forest, pair):
     """Number of forest elements strictly below the critical pair in pair order."""
     pair = CriticalPair(*pair)
     if pair not in critical_pairs(forest):
         raise ValueError(f"{pair} is not critical for the forest")
-    count = 0
-    for k, tree in enumerate(forest.trees, start=1):
-        if k < pair.root:
-            count += len(tree)
-        elif k == pair.root:
-            count += sum(1 for w in tree.words if w < pair.word)
-    return count
+    return _j_indices(forest, [pair])[0]
 
 
 def d_value(forest):
     """Cell dimension: the sum of j over all critical pairs."""
-    return sum(j_index(forest, pair) for pair in critical_pairs(forest))
+    return sum(forest_to_jtuple(forest))
 
 
 def ambient_dimension(m, d, n):
@@ -261,8 +266,11 @@ def poincare_polynomial(m, d, n, by="dim"):
 
 
 def forest_to_jtuple(forest):
-    """The weakly increasing tuple of j-indices over the sorted critical pairs."""
-    return tuple(sorted(j_index(forest, pair) for pair in critical_pairs(forest)))
+    """The weakly increasing tuple of j-indices over the sorted critical pairs.
+
+    j never decreases along the pair order, so the tuple needs no sort.
+    """
+    return tuple(_j_indices(forest, critical_pairs(forest)))
 
 
 def _required_j_floor(nu, m, d, n):

@@ -74,37 +74,32 @@ def chern_monomial(b, d):
     return SparsePoly.monomial(d, exp)
 
 
-def _independent_over_standard_monomials(polys, gb):
-    """Exact rank check: do the normal forms span a space of full dimension?"""
-    standard = gb.standard_monomials()
-    index = {exp: i for i, exp in enumerate(standard)}
-    rows = []
+def _linearly_independent(polys):
+    """Exact check that the polynomials are linearly independent over the rationals.
+
+    Each one is reduced against the pivots kept so far, keyed by leading
+    exponent; it either leaves a new pivot or reduces to zero, and the
+    first zero means a dependence.
+    """
+    pivots = {}
     for p in polys:
-        nf = normal_form(p, gb)
-        row = [QQ(0)] * len(standard)
-        for exp, coef in nf.terms.items():
-            row[index[exp]] = coef
-        rows.append(row)
-    # Gaussian elimination over the rationals
-    rank = 0
-    cols = len(standard)
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
+        row = dict(p.terms)
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = {exp: coef / row[lead] for exp, coef in row.items()}
                 break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == len(polys)
+            factor = row[lead]
+            for exp, coef in pivot.items():
+                value = row.get(exp, QQ(0)) - factor * coef
+                if value:
+                    row[exp] = value
+                else:
+                    del row[exp]
+        else:
+            return False
+    return True
 
 
 def verify_chern_basis(m, d, gb=None):
@@ -121,7 +116,7 @@ def verify_chern_basis(m, d, gb=None):
     monomials = [chern_monomial(b, d) for b in btuples]
     if len(monomials) != gb.quotient_dimension():
         return False
-    return _independent_over_standard_monomials(monomials, gb)
+    return _linearly_independent([normal_form(p, gb) for p in monomials])
 
 
 def verify_poincare_match(m, d, gb=None):
@@ -222,21 +217,21 @@ def _specialize(poly, local_vars, values):
 def minimal_generator_subset(gens, weights):
     """Greedy inclusion-minimal subset generating the same ideal.
 
-    Drops generators in order whenever the remaining ones still generate
-    the dropped element; minimal only in the inclusion sense.
+    One pass in order drops each generator that the remaining ones still
+    generate; minimal only in the inclusion sense.  A kept generator g is
+    outside the ideal of the others, and the others only shrink later, so
+    g stays needed: no earlier generator has to be tried again, and the
+    pass drops the same generators, in the same order, as restarting from
+    the first one after every drop would.
     """
     current = list(gens)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(current):
-            rest = current[:i] + current[i + 1 :]
-            if not rest:
-                continue
-            if buchberger(rest, weights).contains(g):
-                current = rest
-                changed = True
-                break
+    i = 0
+    while i < len(current):
+        rest = current[:i] + current[i + 1 :]
+        if rest and buchberger(rest, weights).contains(current[i]):
+            current = rest
+        else:
+            i += 1
     return current
 
 

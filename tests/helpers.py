@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the library internals it
 checks: counts come from closed forms, Schur polynomials from the dual
-Jacobi-Trudi determinant, and random polynomials from seeded generators.
+Jacobi-Trudi determinant, j-indices and d-values from pair-by-pair counts,
+and random polynomials from seeded generators.
 The symmetry check, the change to e-coordinates and the kernel generators
 have slow x-space oracles here, computed term by term over all variables.
 The quotient queries of a basis have oracles that visit every monomial of
@@ -55,6 +56,18 @@ def d_value_oracle(forest):
             if k < k2 or (k == k2 and w < w2):
                 count += 1
     return count
+
+
+def jtuple_oracle(forest):
+    """Sorted j-indices, each counted element by element over the whole forest."""
+    from nchilb.forests import critical_pairs
+
+    return tuple(
+        sorted(
+            sum(1 for k, w in forest.pairs() if k < k2 or (k == k2 and w < w2))
+            for k2, w2 in critical_pairs(forest)
+        )
+    )
 
 
 def conjugate_partition(lam):
@@ -292,3 +305,22 @@ def oracle_hilbert_function(heads, weights, max_deg):
         if _outside(heads, exp):
             counts[sum(w * a for w, a in zip(weights, exp))] += 1
     return counts
+
+
+def oracle_minimal_generator_subset(gens, weights):
+    """Drop the first generator that the others generate, then start over from index 0."""
+    from nchilb.groebner import buchberger
+
+    current = list(gens)
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(current):
+            rest = current[:i] + current[i + 1 :]
+            if not rest:
+                continue
+            if buchberger(rest, weights).contains(g):
+                current = rest
+                changed = True
+                break
+    return current

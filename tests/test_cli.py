@@ -110,6 +110,24 @@ def test_chow_hilbert_max_deg_bounds(capsys):
     assert "--max-deg must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,usage",
+    [
+        (["chow", "hilbert", "--m", "2", "--d", "3", "--max-deg", "-1"], "nchilb chow hilbert"),
+        (["coha", "forbidden", "--m", "2", "--d", "3", "--p", "5"], "nchilb coha forbidden"),
+        (["chow", "verify", "--m", "-1", "--d", "3"], "nchilb chow verify"),
+        (["forests", "count", "--m", "-1", "--d", "2"], "nchilb forests count"),
+        (["paper-example", "--trials", "0"], "nchilb paper-example"),
+    ],
+    ids=["chow-hilbert", "coha-forbidden", "chow-verify", "forests-count", "paper-example"],
+)
+def test_validation_error_shows_subcommand_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: {usage} ")
+
+
 def test_chow_verify(capsys):
     code, out, _ = run(capsys, "chow", "verify", "--m", "2", "--d", "2")
     assert code == 0

@@ -1,0 +1,27 @@
+"""CLI stdout against stored golden outputs, byte for byte.
+
+The files under tests/data/ were written by the CLI itself; a change that
+alters any of them changes what users see and must say so.
+"""
+
+import pathlib
+
+import pytest
+
+from nchilb.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+GOLDEN = [
+    (
+        f"chow_presentation_minimal_m{m}_d{d}.json",
+        ["chow", "presentation", "--format", "json", "--minimal", "--m", str(m), "--d", str(d)],
+    )
+    for m, d in [(0, 3), (1, 3), (2, 3), (2, 4), (3, 3), (4, 3)]
+] + [("paper_example.json", ["paper-example", "--format", "json"])]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_stdout_equals_golden_file(capsys, name, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()

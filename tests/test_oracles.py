@@ -1,17 +1,22 @@
 """The partition-space symmetry check, change of basis and kernel generators
 against the x-space oracles in helpers.py and the stored benchmark inputs;
 the antisymmetrized m = 0 shuffle product against the subset-sum oracle; and
-the order-ideal walk of a basis against exhaustive box and cone walks."""
+the order-ideal walk of a basis against exhaustive box and cone walks; the
+one-pass minimal generator subset against the restart loop; the sparse rank
+check against sympy; and the bisected j-indices against element counts."""
 
 import itertools
 import os
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nchilb.presentation
 from nchilb.coha import CohaElement, coha_mul, kernel_generators
+from nchilb.forests import enumerate_forests, forest_to_jtuple
 from nchilb.groebner import GroebnerBasis, buchberger
 from nchilb.polynomial import (
     SparsePoly,
@@ -20,10 +25,17 @@ from nchilb.polynomial import (
     poly_to_text,
     to_elementary,
 )
-from nchilb.presentation import kernel_ideal_generators
+from nchilb.presentation import (
+    _linearly_independent,
+    e_weights,
+    kernel_ideal_generators,
+    minimal_generator_subset,
+)
 from nchilb.rationals import QQ
 
 from helpers import (
+    jtuple_oracle,
+    oracle_minimal_generator_subset,
     oracle_hilbert_function,
     oracle_is_finite_dimensional,
     oracle_is_symmetric,
@@ -204,3 +216,76 @@ def test_quotient_queries_equal_exhaustive_walks(case, max_deg):
             gb.standard_monomials()
         with pytest.raises(ValueError):
             gb.quotient_dimension()
+
+
+# ---------------------------------------------------------------------------
+# the searches of the presentation layer
+
+SUBSET_GRID = [(2, 3), (2, 4), (3, 3), (4, 3)]
+
+
+@pytest.mark.parametrize("m,d", SUBSET_GRID)
+def test_minimal_subset_equals_restart_loop(m, d):
+    gens = kernel_ideal_generators(d, m)
+    subset = minimal_generator_subset(gens, e_weights(d))
+    assert subset == oracle_minimal_generator_subset(gens, e_weights(d))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SUBSET_GRID), st.data())
+def test_minimal_subset_equals_restart_loop_in_any_order(md, data):
+    m, d = md
+    gens = data.draw(st.permutations(kernel_ideal_generators(d, m)))
+    subset = minimal_generator_subset(gens, e_weights(d))
+    assert subset == oracle_minimal_generator_subset(gens, e_weights(d))
+
+
+@pytest.mark.parametrize("m,d", SUBSET_GRID)
+def test_minimal_subset_runs_one_basis_per_generator(monkeypatch, m, d):
+    gens = kernel_ideal_generators(d, m)
+    calls = []
+    original = nchilb.presentation.buchberger
+
+    def counted(polys, weights):
+        calls.append(len(polys))
+        return original(polys, weights)
+
+    monkeypatch.setattr(nchilb.presentation, "buchberger", counted)
+    subset = minimal_generator_subset(gens, e_weights(d))
+    assert len(gens) >= 2 and len(subset) >= 2
+    assert len(calls) == len(gens)
+
+
+@st.composite
+def rational_rows(draw):
+    """Sparse rational rows, with zero rows, repeated rows and combinations mixed in."""
+    width = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero" or not rows:
+            extra = [Fraction(0)] * width
+        elif kind == "repeat":
+            extra = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(fractions), draw(fractions)
+            extra = [s * x + t * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows())
+def test_linearly_independent_agrees_with_sympy_rank(rows):
+    polys = [SparsePoly(1, {(j,): c for j, c in enumerate(row)}) for row in rows]
+    matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows])
+    rank = matrix.rank() if rows else 0
+    assert _linearly_independent(polys) == (rank == len(rows))
+
+
+@pytest.mark.parametrize("m,d,n", [(m, d, n) for m in range(5) for d in range(6) for n in (1, 2)])
+def test_jtuples_equal_element_counts(m, d, n):
+    for forest in enumerate_forests(m, d, n):
+        assert forest_to_jtuple(forest) == jtuple_oracle(forest)

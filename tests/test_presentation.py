@@ -2,7 +2,7 @@
 
 import pytest
 
-from nchilb.forests import enumerate_forests
+from nchilb.forests import enumerate_btuples, enumerate_forests
 from nchilb.groebner import buchberger, ideal_equals, normal_form
 from nchilb.polynomial import SparsePoly, poly_from_text
 from nchilb.presentation import (
@@ -178,6 +178,14 @@ def test_presentation_report_computes_generators_once(monkeypatch):
     report = presentation_report(2, 4)
     assert calls == [(4, 2)]
     assert report.groebner.polys == kernel_ideal(2, 4).polys
+
+
+def test_chern_basis_false_when_only_the_rank_fails():
+    # e1^2 = e2 in the quotient, so the B-tuple monomials e1^2 and e2 coincide
+    # although there are as many of them as the quotient dimension
+    gb = buchberger([e(3, 3), e(2, 3) - e(1, 3) ** 2, e(1, 3) ** 5], e_weights(3))
+    assert gb.quotient_dimension() == len(enumerate_btuples(2, 3, 1)) == 5
+    assert verify_chern_basis(2, 3, gb) is False
 
 
 def test_minimal_generator_subset():
