@@ -7,9 +7,12 @@ and random polynomials from seeded generators.
 The symmetry check, the change to e-coordinates and the kernel generators
 have slow x-space oracles here, computed term by term over all variables.
 The quotient queries of a basis have oracles that visit every monomial of
-a box or a weighted cone and test it against every head.
+a box or a weighted cone and test it against every head, and Buchberger
+and the normal form have the tuple-exponent oracle: orders, divisibility
+and products computed one exponent at a time.
 """
 
+import heapq
 import itertools
 import math
 
@@ -324,3 +327,141 @@ def oracle_minimal_generator_subset(gens, weights):
                 changed = True
                 break
     return current
+
+
+# ---------------------------------------------------------------------------
+# tuple-exponent Buchberger: the chain criterion over the pairs done, and
+# division that rescans the pending terms for the largest one at every step
+
+
+def oracle_order_key(exp, weights):
+    """Weighted degree, then reverse lexicography: the later last difference wins when negative."""
+    wdeg = 0
+    for w, a in zip(weights, exp):
+        wdeg += w * a
+    return (wdeg, tuple(-a for a in reversed(exp)))
+
+
+def oracle_divides(small, big):
+    return all(s <= b for s, b in zip(small, big))
+
+
+def _oracle_leading(poly, weights):
+    return max(poly.terms, key=lambda exp: oracle_order_key(exp, weights))
+
+
+def _oracle_monic(poly, weights):
+    lead = _oracle_leading(poly, weights)
+    coef = poly.terms[lead]
+    if coef == 1:
+        return poly
+    inv = 1 / coef
+    return SparsePoly._make(poly.nvars, {e: c * inv for e, c in poly.terms.items()})
+
+
+def _oracle_reduce(poly, basis, leads, weights):
+    remainder = {}
+    work = dict(poly.terms)
+    key = lambda exp: oracle_order_key(exp, weights)
+    while work:
+        lead = max(work, key=key)
+        coef = work.pop(lead)
+        if not coef:
+            continue
+        for g, g_lead in zip(basis, leads):
+            if oracle_divides(g_lead, lead):
+                shift = tuple(a - b for a, b in zip(lead, g_lead))
+                for exp, c in g.terms.items():
+                    if exp == g_lead:
+                        continue
+                    target = tuple(s + e for s, e in zip(shift, exp))
+                    acc = work.get(target, 0) - coef * c
+                    if acc:
+                        work[target] = acc
+                    else:
+                        work.pop(target, None)
+                break
+        else:
+            remainder[lead] = coef
+    return SparsePoly._make(poly.nvars, remainder)
+
+
+def oracle_normal_form(poly, polys, weights):
+    """Remainder of poly on division by the monic polys, first divisor in list order."""
+    leads = [_oracle_leading(g, weights) for g in polys]
+    return _oracle_reduce(poly, list(polys), leads, weights)
+
+
+def _oracle_spoly(f, f_lead, g, g_lead, nvars):
+    lcm = tuple(max(a, b) for a, b in zip(f_lead, g_lead))
+    shift_f = tuple(l - a for l, a in zip(lcm, f_lead))
+    shift_g = tuple(l - b for l, b in zip(lcm, g_lead))
+    terms = {}
+    for exp, c in f.terms.items():
+        target = tuple(s + e for s, e in zip(shift_f, exp))
+        terms[target] = terms.get(target, 0) + c
+    for exp, c in g.terms.items():
+        target = tuple(s + e for s, e in zip(shift_g, exp))
+        acc = terms.get(target, 0) - c
+        if acc:
+            terms[target] = acc
+        else:
+            terms.pop(target, None)
+    return SparsePoly._make(nvars, terms)
+
+
+def oracle_buchberger(gens, weights):
+    """Reduced basis polys: coprime and chain criteria, pairs by weighted degree of the lcm."""
+    gens = [g for g in gens if not g.is_zero()]
+    nvars = gens[0].nvars
+    weights = tuple(weights)
+    basis, leads = [], []
+    queue, done = [], set()
+    counter = itertools.count()
+
+    def wdeg(exp):
+        return sum(w * a for w, a in zip(weights, exp))
+
+    def add(poly):
+        poly = _oracle_monic(poly, weights)
+        basis.append(poly)
+        leads.append(_oracle_leading(poly, weights))
+        j = len(basis) - 1
+        for i in range(j):
+            lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
+            heapq.heappush(queue, (wdeg(lcm), next(counter), i, j, lcm))
+
+    for g in sorted(gens, key=lambda p: oracle_order_key(_oracle_leading(p, weights), weights)):
+        reduced = _oracle_reduce(g, basis, leads, weights)
+        if not reduced.is_zero():
+            add(reduced)
+
+    while queue:
+        _, _, i, j, lcm = heapq.heappop(queue)
+        done.add((i, j))
+        if all(a + b == l for a, b, l in zip(leads[i], leads[j], lcm)):
+            continue
+        if any(
+            k not in (i, j)
+            and oracle_divides(leads[k], lcm)
+            and (min(i, k), max(i, k)) in done
+            and (min(j, k), max(j, k)) in done
+            for k in range(len(basis))
+        ):
+            continue
+        s = _oracle_reduce(_oracle_spoly(basis[i], leads[i], basis[j], leads[j], nvars), basis, leads, weights)
+        if not s.is_zero():
+            add(s)
+
+    keep = [
+        i
+        for i, lead in enumerate(leads)
+        if not any(j != i and oracle_divides(leads[j], lead) for j in range(len(leads)))
+    ]
+    reduced = []
+    for i in keep:
+        others = [basis[k] for k in keep if k != i]
+        other_leads = [leads[k] for k in keep if k != i]
+        reduced.append((leads[i], _oracle_monic(_oracle_reduce(basis[i], others, other_leads, weights), weights)))
+    reduced.sort(key=lambda item: oracle_order_key(item[0], weights))
+    return tuple(poly for _, poly in reduced)

@@ -209,6 +209,21 @@ def test_computation_error_exits_1(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chow", "hilbert", "--m", "2", "--d", "3", "--max-deg", str(2**31)],
+        ["chow", "multiplicity", "--vars", "2", "--poly", f"1*x1^{2**31}", "--poly", "1*x2"],
+    ],
+    ids=["max-deg", "poly"],
+)
+def test_weighted_degree_past_the_packed_field_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert str(2**31) in err
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "chow", "presentation", "--m", "2", "--d", "3", "--format", "json")
     second = run(capsys, "chow", "presentation", "--m", "2", "--d", "3", "--format", "json")

@@ -18,7 +18,19 @@ GOLDEN = [
         ["chow", "presentation", "--format", "json", "--minimal", "--m", str(m), "--d", str(d)],
     )
     for m, d in [(0, 3), (1, 3), (2, 3), (2, 4), (3, 3), (4, 3)]
-] + [("paper_example.json", ["paper-example", "--format", "json"])]
+] + [
+    (
+        f"chow_presentation_m{m}_d{d}.json",
+        ["chow", "presentation", "--format", "json", "--m", str(m), "--d", str(d)],
+    )
+    for m, d in [(2, 5), (3, 4), (4, 4), (5, 3)]
+] + [
+    (
+        "chow_hilbert_m2_d5.json",
+        ["chow", "hilbert", "--format", "json", "--m", "2", "--d", "5"],
+    ),
+    ("paper_example.json", ["paper-example", "--format", "json"]),
+]
 
 
 @pytest.mark.parametrize("name,argv", GOLDEN, ids=[name for name, _ in GOLDEN])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nchilb.groebner import GroebnerBasis, buchberger, ideal_equals, normal_form
+from nchilb.groebner import GroebnerBasis, _Heads, _Order, buchberger, ideal_equals, normal_form
 from nchilb.polynomial import SparsePoly, poly_from_text
 
 from helpers import random_poly
@@ -192,3 +192,57 @@ def test_random_ideals_have_verified_bases():
                     j
                 ] * SparsePoly.monomial(2, sj)
                 assert normal_form(spoly, gb).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: the memoised head lookup and weighted degrees at the field limit
+
+
+def test_head_lookup_rechecks_a_miss_after_the_heads_grow():
+    order = _Order((1, 1), 2)
+    heads = _Heads(order)
+    heads.add(order.key((2, 0)), [])
+    key = order.key((1, 1))
+    assert heads.divisor(key) is None
+    heads.add(order.key((0, 1)), [])
+    heads.add(order.key((1, 0)), [])
+    assert heads.divisor(key) == 1
+    assert heads.divisor(order.key((3, 0))) == 0
+    assert heads.divisor(order.key((0, 0))) is None
+
+
+LIMIT = 2**31
+
+
+def test_packing_rejects_weighted_degree_at_the_field_limit():
+    with pytest.raises(OverflowError, match=str(LIMIT)):
+        buchberger([SparsePoly.monomial(1, (LIMIT,))], (1,))
+    # the weight counts: 2 * 2^30 = 2^31
+    with pytest.raises(OverflowError, match=str(LIMIT)):
+        buchberger([SparsePoly.monomial(2, (0, 2**30))], (1, 2))
+    gb = buchberger([SparsePoly.monomial(1, (LIMIT - 1,))], (1,))
+    assert gb._leads == ((LIMIT - 1,),)
+    assert gb.contains(SparsePoly.monomial(1, (LIMIT - 1,)))
+    with pytest.raises(OverflowError, match=str(LIMIT)):
+        normal_form(SparsePoly.monomial(1, (LIMIT,)), gb)
+    with pytest.raises(OverflowError, match=str(LIMIT)):
+        GroebnerBasis(1, (1,), (SparsePoly.monomial(1, (LIMIT,)),))
+
+
+def test_pair_lcm_rejects_weighted_degree_at_the_field_limit():
+    f = SparsePoly.monomial(2, (2**30, 1))
+    with pytest.raises(OverflowError, match=str(LIMIT)):
+        buchberger([f, SparsePoly.monomial(2, (1, 2**30))], (1, 1))
+    # one below: the lcm packs, and the S-polynomial of two monomials is zero
+    gb = buchberger([f, SparsePoly.monomial(2, (1, 2**30 - 1))], (1, 1))
+    assert gb._leads == ((1, 2**30 - 1), (2**30, 1))
+
+
+def test_hilbert_function_rejects_max_deg_at_the_field_limit(monkeypatch):
+    gb = buchberger([SparsePoly.variable(2, 1)], (1, 1))
+    walks = []
+    monkeypatch.setattr(GroebnerBasis, "_order_ideal", lambda self, max_deg=None: walks.append(max_deg))
+    for basis in (gb, paper_ideal()):
+        with pytest.raises(OverflowError, match=str(LIMIT)):
+            basis.hilbert_function(LIMIT)
+    assert walks == []

@@ -1,12 +1,16 @@
 """The partition-space symmetry check, change of basis and kernel generators
 against the x-space oracles in helpers.py and the stored benchmark inputs;
-the antisymmetrized m = 0 shuffle product against the subset-sum oracle; and
-the order-ideal walk of a basis against exhaustive box and cone walks; the
+the antisymmetrized m = 0 shuffle product against the subset-sum oracle; the
+packed-monomial Buchberger, normal forms, order and divisibility against the
+tuple-exponent oracle, and the kernel ideals against sympy's bases; the
+order-ideal walk of a basis against exhaustive box and cone walks; the
 one-pass minimal generator subset against the restart loop; the sparse rank
 check against sympy; and the bisected j-indices against element counts."""
 
+import contextlib
 import itertools
 import os
+import signal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 import nchilb.presentation
 from nchilb.coha import CohaElement, coha_mul, kernel_generators
 from nchilb.forests import enumerate_forests, forest_to_jtuple
-from nchilb.groebner import GroebnerBasis, buchberger
+from nchilb.groebner import GroebnerBasis, _Order, buchberger, normal_form
 from nchilb.polynomial import (
     SparsePoly,
     from_elementary,
@@ -35,11 +39,15 @@ from nchilb.rationals import QQ
 
 from helpers import (
     jtuple_oracle,
+    oracle_buchberger,
+    oracle_divides,
     oracle_minimal_generator_subset,
     oracle_hilbert_function,
     oracle_is_finite_dimensional,
     oracle_is_symmetric,
     oracle_kernel_generators,
+    oracle_normal_form,
+    oracle_order_key,
     oracle_shuffle,
     oracle_standard_monomials,
     oracle_to_elementary,
@@ -172,6 +180,167 @@ def test_m0_product_equals_subset_sum_oracle(case):
     product = coha_mul(CohaElement(p, f), CohaElement(q, g), 0)
     assert product.d == p + q
     assert product.poly == oracle_shuffle(f, p, g, q, 0)
+
+
+# ---------------------------------------------------------------------------
+# the Buchberger engine against the tuple-exponent oracle and sympy
+
+LIMIT = 2**31  # exponents and weighted degrees of packed monomials stay below
+
+
+@st.composite
+def exponents(draw, n, total=3):
+    """An exponent vector in n variables of total degree at most `total`."""
+    exp = []
+    for _ in range(n):
+        exp.append(draw(st.integers(0, total - sum(exp))))
+    return tuple(draw(st.permutations(exp)))
+
+
+@st.composite
+def ideals(draw):
+    """Generators in 1-4 variables with weights 1-3 and rational coefficients.
+
+    Mostly not weighted-homogeneous; about one in eight also has a nonzero
+    constant among its generators, which makes the unit ideal.  Terms have
+    total degree at most 3: with degree 5, some draws of four generators in
+    four variables take Buchberger over 30 s of coefficient growth.
+    """
+    n = draw(st.integers(1, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        exps = draw(st.lists(exponents(n), min_size=1, max_size=3, unique=True))
+        coefs = draw(st.lists(fractions, min_size=len(exps), max_size=len(exps)))
+        gens.append(SparsePoly(n, dict(zip(exps, coefs))))
+    if draw(st.integers(0, 7)) == 0:
+        gens.append(SparsePoly.const(n, draw(fractions)))
+    return gens, weights
+
+
+@contextlib.contextmanager
+def time_limit(seconds=10):
+    """Raise TimeoutError after `seconds` instead of hanging.
+
+    A wrong divisibility test or a stale head lookup can keep Buchberger
+    adding polynomials forever; a correct run of these examples takes
+    milliseconds.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals())
+def test_buchberger_equals_tuple_oracle(case):
+    gens, weights = case
+    with time_limit():
+        assert buchberger(gens, weights).polys == oracle_buchberger(gens, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals(), st.data())
+def test_normal_form_equals_tuple_oracle(case, data):
+    gens, weights = case
+    with time_limit():
+        gb = buchberger(gens, weights)
+    n = gb.nvars
+    # several polynomials against one basis, so later ones meet a warm memo
+    for _ in range(3):
+        exps = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=6, unique=True))
+        coefs = data.draw(st.lists(fractions, min_size=len(exps), max_size=len(exps)))
+        f = SparsePoly(n, dict(zip(exps, coefs)))
+        # a multiple of a generator is in the ideal and reduces to zero
+        g = f * gens[0]
+        for p in (f, g, f + g):
+            assert normal_form(p, gb) == oracle_normal_form(p, gb.polys, weights)
+        assert gb.contains(g)
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Weights and two exponent vectors of weighted degree below 2^31, often at that edge.
+
+    The second vector is often the first one raised in one variable, or the
+    first one itself.
+    """
+    n = draw(st.integers(1, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+
+    def vector():
+        exp = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            # one exponent as large as the weighted degree allows, or just below that
+            i = draw(st.integers(0, n - 1))
+            room = LIMIT - 1 - sum(w * a for j, (w, a) in enumerate(zip(weights, exp)) if j != i)
+            exp[i] = room // weights[i] - draw(st.integers(0, 2))
+        return tuple(exp)
+
+    a = vector()
+    kind = draw(st.sampled_from(["other", "raised", "same"]))
+    if kind == "other":
+        b = vector()
+    elif kind == "raised":
+        i = draw(st.integers(0, n - 1))
+        b = a[:i] + (a[i] + 1,) + a[i + 1 :]
+    else:
+        b = a
+    return weights, a, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(exponent_pairs())
+def test_packed_order_and_divisibility_equal_tuple_oracle(case):
+    weights, a, b = case
+    order = _Order(weights, len(weights))
+    wdeg = lambda exp: sum(w * x for w, x in zip(weights, exp))
+    if wdeg(b) >= LIMIT:
+        with pytest.raises(OverflowError):
+            order.key(b)
+        return
+    ka, kb = order.key(a), order.key(b)
+    assert order.exp(ka) == a and order.exp(kb) == b
+    assert (ka < kb) == (oracle_order_key(a, weights) < oracle_order_key(b, weights))
+    assert (ka == kb) == (a == b)
+    assert order.divides(ka, kb) == oracle_divides(a, b)
+    assert order.divides(kb, ka) == oracle_divides(b, a)
+    product = tuple(x + y for x, y in zip(a, b))
+    if wdeg(product) < LIMIT:
+        assert order.key(product) == ka + kb
+
+
+SYMPY_GRID = [(2, 3), (2, 4), (3, 3), (4, 3)]
+
+
+@pytest.mark.parametrize("m,d", SYMPY_GRID)
+def test_kernel_ideal_equals_sympy_groebner_ideal(m, d):
+    # ideal equality does not depend on the monomial order of either basis
+    gens = kernel_ideal_generators(d, m)
+    gb = buchberger(gens, e_weights(d))
+    symbols = sympy.symbols(f"e1:{d + 1}")
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {exp: sympy.Rational(c.numerator, c.denominator) for exp, c in p.terms.items()},
+            *symbols,
+        ).as_expr()
+
+    theirs = sympy.groebner([to_sympy(g) for g in gens], *symbols, order="grevlex")
+    for p in gb.polys:
+        assert theirs.reduce(to_sympy(p))[1] == 0
+    for q in theirs.exprs:
+        terms = sympy.Poly(q, *symbols).terms()
+        poly = SparsePoly(d, {exp: Fraction(int(c.p), int(c.q)) for exp, c in terms})
+        assert gb.contains(poly)
 
 
 @st.composite

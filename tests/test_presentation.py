@@ -3,7 +3,7 @@
 import pytest
 
 from nchilb.forests import enumerate_btuples, enumerate_forests
-from nchilb.groebner import buchberger, ideal_equals, normal_form
+from nchilb.groebner import GroebnerBasis, buchberger, ideal_equals, normal_form
 from nchilb.polynomial import SparsePoly, poly_from_text
 from nchilb.presentation import (
     chern_monomial,
@@ -178,6 +178,20 @@ def test_presentation_report_computes_generators_once(monkeypatch):
     report = presentation_report(2, 4)
     assert calls == [(4, 2)]
     assert report.groebner.polys == kernel_ideal(2, 4).polys
+
+
+def test_presentation_report_walks_the_order_ideal_once(monkeypatch):
+    calls = []
+    original = GroebnerBasis._order_ideal
+
+    def counted(self, max_deg=None):
+        calls.append(max_deg)
+        return original(self, max_deg)
+
+    monkeypatch.setattr(GroebnerBasis, "_order_ideal", counted)
+    report = presentation_report(2, 4)
+    assert report.verdicts == {"chern_basis": True, "poincare_match": True}
+    assert calls == [None]
 
 
 def test_chern_basis_false_when_only_the_rank_fails():
