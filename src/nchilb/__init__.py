@@ -10,12 +10,9 @@ exposes everything on the command line.
 
 from .rationals import BACKEND, QQ
 from .polynomial import (
-    NonDivisibleError,
     SparsePoly,
-    antisymmetrize,
     discriminant,
     elementary_symmetric,
-    exact_divide,
     from_elementary,
     is_partition,
     is_symmetric,

@@ -174,10 +174,6 @@ def coha_mul(f, g, m):
     """Shuffle product of two elements, of arity f.d + g.d."""
     if m < 0:
         raise ValueError("loop count m must be non-negative")
-    if f.d == 0:
-        return CohaElement(g.d, g.poly * f.poly.constant())
-    if g.d == 0:
-        return CohaElement(f.d, f.poly * g.poly.constant())
     if m >= 1:
         return CohaElement(f.d + g.d, _block_shuffle(f, g, m))
     d = f.d + g.d
@@ -207,13 +203,12 @@ def forbidden_polynomial(p, d, m):
     """x_{p+1}..x_d times prod_{mu<=p<nu} (x_nu - x_mu)^m, in d variables."""
     if not 0 <= p < d:
         raise ValueError("need 0 <= p < d")
-    poly = SparsePoly.const(d, 1)
-    for j in range(p, d):
-        poly = poly * SparsePoly.variable(d, j)
-    for i in range(p):
-        for j in range(p, d):
-            poly = poly * (SparsePoly.variable(d, j) - SparsePoly.variable(d, i)) ** m
-    return poly
+    return _right_variables(p, d - p) * SparsePoly(d, _kernel_power(p, d - p, m))
+
+
+def _right_variables(p, q):
+    """The monomial x_{p+1}..x_{p+q} in p + q variables."""
+    return SparsePoly.monomial(p + q, (0,) * p + (1,) * q)
 
 
 def tautological_relation(b, p, d, m):
@@ -232,8 +227,7 @@ def shuffle_expression(h, p, q, m):
     d = p + q
     if h.nvars != d:
         raise ValueError(f"h has {h.nvars} variables, expected {d}")
-    right = SparsePoly.monomial(d, (0,) * p + (1,) * q)
-    return _antisymmetrized_shuffle(h * right, p, m)
+    return _antisymmetrized_shuffle(h * _right_variables(p, q), p, m)
 
 
 def module_basis(p, q):

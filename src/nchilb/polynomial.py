@@ -2,13 +2,16 @@
 
 Polynomials are stored sparsely as a map from exponent vectors to nonzero
 rational coefficients.  On top of the ring operations this module provides
-the symmetric-function toolbox used everywhere else: elementary and
-monomial symmetric polynomials, Schur polynomials via the bialternant,
-antisymmetrization against the Vandermonde discriminant (both for the full
-symmetric group and for a two-block Young subgroup), and the change of
-basis from symmetric polynomials in x-variables to polynomials in the
-elementary symmetric generators.  Symmetry checks and the change of basis
-work on the coefficients of the sorted exponents, that is on partitions.
+the symmetric-function toolbox used everywhere else: elementary, monomial
+and Schur symmetric polynomials, the operator rho (antisymmetrize, then
+divide by the Vandermonde discriminant) for the full symmetric group and
+for a two-block Young subgroup, and the change of basis from symmetric
+polynomials in x-variables to polynomials in the elementary symmetric
+generators.  rho is read off the terms: each term with distinct block
+entries contributes a signed product of Schur polynomials, expanded into
+monomial symmetric functions by Kostka numbers.  Symmetry checks and the
+change of basis work on the coefficients of the sorted exponents, that is
+on partitions.
 """
 
 import itertools
@@ -21,13 +24,10 @@ from .rationals import QQ, rational_from_string
 
 __all__ = [
     "SparsePoly",
-    "NonDivisibleError",
-    "exact_divide",
     "elementary_symmetric",
     "monomial_symmetric",
     "schur",
     "discriminant",
-    "antisymmetrize",
     "rho",
     "rho_pq",
     "is_symmetric",
@@ -43,10 +43,6 @@ __all__ = [
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
-
-
-class NonDivisibleError(ArithmeticError):
-    """Raised by exact_divide when the divisor does not divide the dividend."""
 
 
 class SparsePoly:
@@ -272,41 +268,6 @@ class SparsePoly:
         return poly_to_text(self)
 
 
-def _lex_lead(poly):
-    return max(poly.terms)
-
-
-def exact_divide(a, b):
-    """Quotient a / b when b divides a exactly; raises NonDivisibleError otherwise."""
-    if not isinstance(a, SparsePoly) or not isinstance(b, SparsePoly):
-        raise TypeError("exact_divide expects polynomials")
-    if a.nvars != b.nvars:
-        raise ValueError(f"variable count mismatch: {a.nvars} vs {b.nvars}")
-    if b.is_zero():
-        raise NonDivisibleError("division by the zero polynomial")
-    if a.is_zero():
-        return a
-    lead_b = _lex_lead(b)
-    coef_b = b.terms[lead_b]
-    quotient = {}
-    rest = dict(a.terms)
-    while rest:
-        lead = max(rest)
-        diff = tuple(x - y for x, y in zip(lead, lead_b))
-        if any(d < 0 for d in diff):
-            raise NonDivisibleError(f"{poly_to_text(b)} does not divide {poly_to_text(a)}")
-        q = rest[lead] / coef_b
-        quotient[diff] = q
-        for exp, coef in b.terms.items():
-            target = tuple(d + e for d, e in zip(diff, exp))
-            acc = rest.get(target, _ZERO) - q * coef
-            if acc:
-                rest[target] = acc
-            else:
-                rest.pop(target, None)
-    return SparsePoly._make(a.nvars, quotient)
-
-
 # ---------------------------------------------------------------------------
 # symmetric-function constructors
 
@@ -336,8 +297,7 @@ def monomial_symmetric(lam, d):
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} parts")
     padded = lam + (0,) * (d - len(lam))
-    terms = {exp: _ONE for exp in set(itertools.permutations(padded))}
-    return SparsePoly._make(d, terms)
+    return SparsePoly._make(d, dict.fromkeys(_orbit(padded), _ONE))
 
 
 @lru_cache(maxsize=None)
@@ -350,52 +310,84 @@ def discriminant(d):
     return poly
 
 
-@lru_cache(maxsize=None)
-def _signed_permutations(d):
-    perms = []
-    for sigma in itertools.permutations(range(d)):
-        inversions = sum(
-            1
-            for i in range(d)
-            for j in range(i + 1, d)
-            if sigma[i] > sigma[j]
-        )
-        perms.append((sigma, -1 if inversions & 1 else 1))
-    return tuple(perms)
-
-
-def antisymmetrize(f):
-    """Signed sum of f over all permutations of its variables."""
-    total = SparsePoly.zero(f.nvars)
-    for sigma, sign in _signed_permutations(f.nvars):
-        image = f.permute(sigma)
-        total = total + (image if sign > 0 else -image)
-    return total
-
-
 def rho(f):
-    """Antisymmetrize f and divide by the discriminant.
-
-    The result is a symmetric polynomial; the division is always exact
-    because the signed sum is alternating.
-    """
-    if f.nvars <= 1:
-        return f
-    return exact_divide(antisymmetrize(f), discriminant(f.nvars))
+    """Antisymmetrize f and divide by the discriminant; the result is symmetric."""
+    return _alternate(f, f.nvars)
 
 
 def rho_pq(f, p, q):
     """Block antisymmetrization over S_p x S_q acting on x_1..x_p and x_{p+1}..x_d."""
-    d = p + q
-    if f.nvars != d:
-        raise ValueError(f"polynomial has {f.nvars} variables, expected {d}")
-    total = SparsePoly.zero(d)
-    for left, sign_l in _signed_permutations(p):
-        for right, sign_r in _signed_permutations(q):
-            sigma = left + tuple(p + i for i in right)
-            image = f.permute(sigma)
-            total = total + (image if sign_l * sign_r > 0 else -image)
-    return exact_divide(total, _block_discriminant(p, q))
+    if f.nvars != p + q:
+        raise ValueError(f"polynomial has {f.nvars} variables, expected {p + q}")
+    return _alternate(f, p)
+
+
+def _alternate(f, p):
+    """rho over S_p x S_q, the blocks x_1..x_p and the rest; p = f.nvars is S_d.
+
+    The alternant of a monomial over one block is zero when an exponent
+    repeats, and otherwise sign * a_{lam + delta}, so that its quotient by
+    the block discriminant is sign * s_lam (the bialternant formula).  Each
+    term therefore gives a signed product of two Schur polynomials, summed
+    on monomial-symmetric coefficients and expanded one orbit pair at a time.
+    """
+    sums = {}
+    for exp, coef in f.terms.items():
+        left, right = _signed_schur(exp[:p]), _signed_schur(exp[p:])
+        for mu, k in left:
+            for nu, c in right:
+                sums[mu + nu] = sums.get(mu + nu, 0) + coef * k * c
+    terms = {}
+    for key, coef in sums.items():
+        if coef:
+            for mu in _orbit(key[:p]):
+                for nu in _orbit(key[p:]):
+                    terms[mu + nu] = coef
+    return SparsePoly._make(f.nvars, terms)
+
+
+@lru_cache(maxsize=None)
+def _signed_schur(block):
+    """rho of x^block over its own variables as ((padded mu, coefficient of m_mu), ..).
+
+    The sign is the parity of the inversions of block against ascending
+    order, and lam_i is the i-th largest entry minus the number of entries
+    below it; a repeated entry gives ().
+    """
+    n = len(block)
+    ordered = sorted(block)
+    if any(a == b for a, b in zip(ordered, ordered[1:])):
+        return ()
+    inversions = sum(block[i] > block[j] for i in range(n) for j in range(i + 1, n))
+    sign = -1 if inversions & 1 else 1
+    lam = tuple(a - i for i, a in enumerate(ordered) if a > i)[::-1]
+    return tuple(
+        (mu + (0,) * (n - len(mu)), sign * _kostka(lam, mu))
+        for mu in partitions_in_box(n, lam[0] if lam else 0)
+        if sum(mu) == sum(lam) and _kostka(lam, mu)
+    )
+
+
+@lru_cache(maxsize=None)
+def _kostka(lam, mu):
+    """Kostka number K_{lam mu}: semistandard tableaux of shape lam and content mu.
+
+    Both are tuples of positive parts.  The mu_k entries equal to k =
+    len(mu) fill a horizontal strip lam / nu, so K_{lam mu} sums K_{nu mu'},
+    mu' = mu without mu_k, over the nu with lam_1 >= nu_1 >= lam_2 >= nu_2
+    >= .. and |nu| = |lam| - mu_k.
+    """
+    if not mu:
+        return 0 if lam else 1
+    if sum(lam) != sum(mu) or len(lam) > len(mu):
+        return 0
+    ranges = [range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))]
+    size = sum(lam) - mu[-1]
+    return sum(
+        _kostka(tuple(part for part in nu if part), mu[:-1])
+        for nu in itertools.product(*ranges)
+        if sum(nu) == size
+    )
 
 
 @lru_cache(maxsize=None)
@@ -520,11 +512,9 @@ def is_symmetric(f, block=None):
 
 
 def schur(lam, d):
-    """Schur polynomial s_lam in d variables via the bialternant ratio.
+    """Schur polynomial s_lam in d variables: rho of the staircase-shifted monomial.
 
-    The numerator is the antisymmetrization of the staircase-shifted
-    monomial and the denominator is the discriminant, so the division is
-    exact and the normalization follows prod_{i<j}(x_j - x_i).
+    The staircase grows toward x_d, following prod_{i<j}(x_j - x_i).
     """
     lam = tuple(lam)
     if not is_partition(lam):
@@ -532,8 +522,6 @@ def schur(lam, d):
     lam = tuple(part for part in lam if part)
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} parts")
-    if d == 0:
-        return SparsePoly.const(0, 1)
     padded = lam + (0,) * (d - len(lam))
     # exponent of x_{j+1} is lam_{d-j} + j: the staircase grows toward x_d
     exp = tuple(padded[d - 1 - j] + j for j in range(d))

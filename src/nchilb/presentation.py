@@ -152,19 +152,18 @@ def local_multiplicity(polys, trials=5, seed=0, local_vars=2):
         raise ValueError(f"need at least {local_vars} variables")
     n_params = nvars - local_vars
 
-    leading_coefs = [_leading_local_coefficient(p, local_vars) for p in polys]
+    leads = [_leading_local_monomial(p, local_vars) for p in polys]
+    top = [max(exp[local_vars + i] for p in polys for exp in p.terms) for i in range(n_params)]
     rng = random.Random(seed)
     dimensions = []
     for _ in range(trials):
         for _attempt in range(1000):
-            values = [QQ(rng.randint(-100, 100)) for _ in range(n_params)]
-            if all(_eval_params(c, values) for c in leading_coefs):
+            values = [rng.randint(-100, 100) for _ in range(n_params)]
+            powers = [[v**a for a in range(k + 1)] for v, k in zip(values, top)]
+            specialized = [_specialize(p, local_vars, powers) for p in polys]
+            if all(g.terms.get(lead) for g, lead in zip(specialized, leads)):
                 break
         else:
-            continue
-        specialized = [_specialize(p, local_vars, values) for p in polys]
-        specialized = [p for p in specialized if not p.is_zero()]
-        if not specialized:
             continue
         gb = buchberger(specialized, (1,) * local_vars)
         if gb.is_finite_dimensional():
@@ -177,40 +176,22 @@ def local_multiplicity(polys, trials=5, seed=0, local_vars=2):
     return min(dimensions)
 
 
-def _leading_local_coefficient(poly, local_vars):
-    """Coefficient (in the parameters) of the graded-lex-leading local monomial."""
+def _leading_local_monomial(poly, local_vars):
+    """The graded-lex-leading exponent of poly in the local variables."""
     if poly.is_zero():
         raise ValueError("zero polynomial has no leading coefficient")
-    by_local = {}
-    for exp, coef in poly.terms.items():
-        local = exp[:local_vars]
-        by_local.setdefault(local, {})[exp[local_vars:]] = coef
-    lead = max(by_local, key=lambda e: (sum(e), e))
-    return by_local[lead]
+    return max((exp[:local_vars] for exp in poly.terms), key=lambda e: (sum(e), e))
 
 
-def _eval_params(coef_terms, values):
-    total = QQ(0)
-    for exp, coef in coef_terms.items():
-        term = coef
-        for v, a in zip(values, exp):
-            term *= v**a
-        total += term
-    return total
-
-
-def _specialize(poly, local_vars, values):
+def _specialize(poly, local_vars, powers):
+    """poly with parameter i replaced by a value whose a-th power is powers[i][a]."""
     terms = {}
     for exp, coef in poly.terms.items():
-        factor = coef
-        for v, a in zip(values, exp[local_vars:]):
-            factor *= v**a
+        value = 1
+        for power, a in zip(powers, exp[local_vars:]):
+            value *= power[a]
         local = exp[:local_vars]
-        acc = terms.get(local, QQ(0)) + factor
-        if acc:
-            terms[local] = acc
-        else:
-            terms.pop(local, None)
+        terms[local] = terms.get(local, 0) + coef * value
     return SparsePoly._make(local_vars, terms)
 
 

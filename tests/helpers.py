@@ -2,25 +2,29 @@
 
 Everything here is deliberately independent of the library internals it
 checks: counts come from closed forms, Schur polynomials from the dual
-Jacobi-Trudi determinant, j-indices and d-values from pair-by-pair counts,
-and random polynomials from seeded generators.
+Jacobi-Trudi determinant, rho from the bialternant (a signed sum over
+every permutation, then long division by the discriminant), j-indices and
+d-values from pair-by-pair counts, and random polynomials from seeded
+generators.
 The symmetry check, the change to e-coordinates and the kernel generators
 have slow x-space oracles here, computed term by term over all variables.
 The quotient queries of a basis have oracles that visit every monomial of
 a box or a weighted cone and test it against every head, and Buchberger
 and the normal form have the tuple-exponent oracle: orders, divisibility
-and products computed one exponent at a time.
+and products computed one exponent at a time.  The local multiplicity has
+the loop that screens each draw by evaluating leading coefficients.
 """
 
 import heapq
 import itertools
 import math
+import random
+from fractions import Fraction
 
 from nchilb.polynomial import (
-    NonDivisibleError,
     SparsePoly,
+    discriminant,
     elementary_symmetric,
-    exact_divide,
     from_elementary,
     partitions_in_box,
     schur,
@@ -144,6 +148,92 @@ def _partitions_of(total, largest=None):
     for part in range(min(total, largest), 0, -1):
         for rest in _partitions_of(total - part, part):
             yield (part,) + rest
+
+
+# ---------------------------------------------------------------------------
+# the bialternant oracle: rho as a signed sum over permutations and an exact division
+
+
+class NonDivisibleError(ArithmeticError):
+    """Raised by exact_divide when the divisor does not divide the dividend."""
+
+
+def _lex_lead(poly):
+    return max(poly.terms)
+
+
+def exact_divide(a, b):
+    """Quotient a / b when b divides a exactly; raises NonDivisibleError otherwise."""
+    if not isinstance(a, SparsePoly) or not isinstance(b, SparsePoly):
+        raise TypeError("exact_divide expects polynomials")
+    if a.nvars != b.nvars:
+        raise ValueError(f"variable count mismatch: {a.nvars} vs {b.nvars}")
+    if b.is_zero():
+        raise NonDivisibleError("division by the zero polynomial")
+    if a.is_zero():
+        return a
+    lead_b = _lex_lead(b)
+    coef_b = b.terms[lead_b]
+    quotient = {}
+    rest = dict(a.terms)
+    while rest:
+        lead = max(rest)
+        diff = tuple(x - y for x, y in zip(lead, lead_b))
+        if any(d < 0 for d in diff):
+            raise NonDivisibleError(f"{b} does not divide {a}")
+        q = rest[lead] / coef_b
+        quotient[diff] = q
+        for exp, coef in b.terms.items():
+            target = tuple(d + e for d, e in zip(diff, exp))
+            acc = rest.get(target, 0) - q * coef
+            if acc:
+                rest[target] = acc
+            else:
+                rest.pop(target, None)
+    return SparsePoly(a.nvars, quotient)
+
+
+def _signed_permutations(d):
+    perms = []
+    for sigma in itertools.permutations(range(d)):
+        inversions = sum(
+            1
+            for i in range(d)
+            for j in range(i + 1, d)
+            if sigma[i] > sigma[j]
+        )
+        perms.append((sigma, -1 if inversions & 1 else 1))
+    return tuple(perms)
+
+
+def antisymmetrize(f):
+    """Signed sum of f over all permutations of its variables."""
+    total = SparsePoly.zero(f.nvars)
+    for sigma, sign in _signed_permutations(f.nvars):
+        image = f.permute(sigma)
+        total = total + (image if sign > 0 else -image)
+    return total
+
+
+def oracle_rho(f):
+    """The antisymmetrization of f divided by the discriminant, by long division."""
+    if f.nvars <= 1:
+        return f
+    return exact_divide(antisymmetrize(f), discriminant(f.nvars))
+
+
+def oracle_rho_pq(f, p, q):
+    """The signed sum over S_p x S_q divided by the two block discriminants."""
+    d = p + q
+    total = SparsePoly.zero(d)
+    for left, sign_l in _signed_permutations(p):
+        for right, sign_r in _signed_permutations(q):
+            image = f.permute(left + tuple(p + i for i in right))
+            total = total + (image if sign_l * sign_r > 0 else -image)
+    blocks = _place(discriminant(p), tuple(range(p)), d) * _place(
+        discriminant(q), tuple(range(p, d)), d
+    )
+    return exact_divide(total, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +555,61 @@ def oracle_buchberger(gens, weights):
         reduced.append((leads[i], _oracle_monic(_oracle_reduce(basis[i], others, other_leads, weights), weights)))
     reduced.sort(key=lambda item: oracle_order_key(item[0], weights))
     return tuple(poly for _, poly in reduced)
+
+
+def _oracle_eval_params(coef_terms, values):
+    total = 0
+    for exp, coef in coef_terms.items():
+        term = coef
+        for v, a in zip(values, exp):
+            term *= v**a
+        total += term
+    return total
+
+
+def _oracle_specialize(poly, local_vars, values):
+    terms = {}
+    for exp, coef in poly.terms.items():
+        factor = coef
+        for v, a in zip(values, exp[local_vars:]):
+            factor *= v**a
+        local = exp[:local_vars]
+        terms[local] = terms.get(local, 0) + factor
+    return SparsePoly(local_vars, terms)
+
+
+def oracle_local_multiplicity(polys, trials=5, seed=0, local_vars=2):
+    """Minimal quotient dimension over random specializations, screened by leading coefficient.
+
+    Each attempt evaluates the parameter polynomial that multiplies every
+    generator's graded-lex-leading local monomial, and specializes only
+    once all of them are nonzero; zero specializations are dropped.
+    """
+    from nchilb.groebner import buchberger
+
+    n_params = polys[0].nvars - local_vars
+    leading = []
+    for poly in polys:
+        by_local = {}
+        for exp, coef in poly.terms.items():
+            by_local.setdefault(exp[:local_vars], {})[exp[local_vars:]] = coef
+        leading.append(by_local[max(by_local, key=lambda e: (sum(e), e))])
+    rng = random.Random(seed)
+    dimensions = []
+    for _ in range(trials):
+        for _attempt in range(1000):
+            values = [Fraction(rng.randint(-100, 100)) for _ in range(n_params)]
+            if all(_oracle_eval_params(c, values) for c in leading):
+                break
+        else:
+            continue
+        specialized = [_oracle_specialize(p, local_vars, values) for p in polys]
+        specialized = [p for p in specialized if not p.is_zero()]
+        if not specialized:
+            continue
+        gb = buchberger(specialized, (1,) * local_vars)
+        if gb.is_finite_dimensional():
+            dimensions.append(gb.quotient_dimension())
+    if len(dimensions) < trials:
+        raise RuntimeError(f"only {len(dimensions)} of {trials} specializations were usable")
+    return min(dimensions)

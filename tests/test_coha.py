@@ -28,6 +28,7 @@ from nchilb.polynomial import (
     to_elementary,
 )
 from nchilb.groebner import buchberger, normal_form
+from nchilb.rationals import QQ
 
 from helpers import random_poly, random_symmetric_poly
 
@@ -97,6 +98,18 @@ def test_scalars_act_as_scalars():
         assert coha_mul(one, f, m) == f
         assert coha_mul(f, one, m) == f
         assert coha_mul(three, f, m).poly == 3 * f.poly
+
+
+def test_arity_zero_factor_scales_in_both_orders():
+    rng = random.Random(5)
+    scalars = [SparsePoly.const(0, c) for c in (3, QQ(-1, 2))] + [SparsePoly.zero(0)]
+    for m in range(4):
+        for q in range(4):
+            for g in (element(rng, q), CohaElement(q, SparsePoly.zero(q))):
+                for c in scalars:
+                    scaled = CohaElement(q, g.poly * c.constant())
+                    assert coha_mul(CohaElement(0, c), g, m) == scaled
+                    assert coha_mul(g, CohaElement(0, c), m) == scaled
 
 
 def test_associativity_sample():
@@ -198,6 +211,18 @@ def test_forbidden_polynomial_examples():
     )
     with pytest.raises(ValueError):
         forbidden_polynomial(3, 3, 2)
+
+
+def test_forbidden_polynomial_equals_product_of_its_factors():
+    for d in range(1, 6):
+        for p in range(d):
+            for m in range(4):
+                expected = SparsePoly.const(d, 1)
+                for j in range(p + 1, d + 1):
+                    expected = expected * x(j, d)
+                    for i in range(1, p + 1):
+                        expected = expected * (x(j, d) - x(i, d)) ** m
+                assert forbidden_polynomial(p, d, m) == expected
 
 
 def test_tautological_relation_worked_case():

@@ -1,6 +1,9 @@
 """The partition-space symmetry check, change of basis and kernel generators
 against the x-space oracles in helpers.py and the stored benchmark inputs;
-the antisymmetrized m = 0 shuffle product against the subset-sum oracle; the
+rho and rho_pq against the bialternant, and the Kostka numbers behind them
+against closed-form identities; the antisymmetrized m = 0 shuffle product
+against the subset-sum oracle; the local multiplicity against the loop that
+screens draws by leading coefficients; the
 packed-monomial Buchberger, normal forms, order and divisibility against the
 tuple-exponent oracle, and the kernel ideals against sympy's bases; the
 order-ideal walk of a basis against exhaustive box and cone walks; the
@@ -9,7 +12,9 @@ check against sympy; and the bisected j-indices against element counts."""
 
 import contextlib
 import itertools
+import math
 import os
+import random
 import signal
 from fractions import Fraction
 
@@ -19,25 +24,33 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nchilb.presentation
+from nchilb.cli import _worked_example_pair
 from nchilb.coha import CohaElement, coha_mul, kernel_generators
 from nchilb.forests import enumerate_forests, forest_to_jtuple
 from nchilb.groebner import GroebnerBasis, _Order, buchberger, normal_form
 from nchilb.polynomial import (
     SparsePoly,
+    _kostka,
     from_elementary,
     is_symmetric,
     poly_to_text,
+    rho,
+    rho_pq,
+    schur,
     to_elementary,
 )
 from nchilb.presentation import (
     _linearly_independent,
     e_weights,
     kernel_ideal_generators,
+    local_multiplicity,
     minimal_generator_subset,
 )
 from nchilb.rationals import QQ
 
 from helpers import (
+    _partitions_of,
+    conjugate_partition,
     jtuple_oracle,
     oracle_buchberger,
     oracle_divides,
@@ -46,8 +59,11 @@ from helpers import (
     oracle_is_finite_dimensional,
     oracle_is_symmetric,
     oracle_kernel_generators,
+    oracle_local_multiplicity,
     oracle_normal_form,
     oracle_order_key,
+    oracle_rho,
+    oracle_rho_pq,
     oracle_shuffle,
     oracle_standard_monomials,
     oracle_to_elementary,
@@ -158,6 +174,63 @@ def test_is_symmetric_agrees_with_transposition_oracle(case):
     f, block = case
     assert is_symmetric(f, block=block) == oracle_is_symmetric(f, block=block)
     assert is_symmetric(f) == oracle_is_symmetric(f)
+
+
+# ---------------------------------------------------------------------------
+# rho from Schur coefficients against the bialternant
+
+
+@st.composite
+def alternation_cases(draw):
+    """A polynomial in 0-5 variables with exponents 0-4 and a block split p.
+
+    Each block of a term has distinct entries half the time, so that it
+    survives the alternation, and arbitrary (often repeated) ones otherwise.
+    """
+    d = draw(st.integers(0, 5))
+    p = draw(st.integers(0, d))
+
+    def block(n):
+        entries = st.lists(st.integers(0, 4), min_size=n, max_size=n, unique=draw(st.booleans()))
+        return tuple(draw(entries))
+
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        terms[block(p) + block(d - p)] = draw(fractions)
+    return SparsePoly(d, terms), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(alternation_cases())
+def test_rho_equals_bialternant_oracle(case):
+    f, p = case
+    q = f.nvars - p
+    assert rho_pq(f, p, q) == oracle_rho_pq(f, p, q)
+    assert rho(f) == oracle_rho(f)
+
+
+def _standard_tableaux(lam):
+    """f^lam by the hook-length formula."""
+    conj = conjugate_partition(lam)
+    hooks = math.prod(
+        lam[i] - j + conj[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])
+    )
+    return math.factorial(sum(lam)) // hooks
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_kostka_numbers_satisfy_their_identities(n):
+    shapes = list(_partitions_of(n))
+    for lam in shapes:
+        assert _kostka(lam, lam) == 1
+        assert _kostka(lam, (1,) * n) == _standard_tableaux(lam)
+        # the coefficient of x^mu in s_lam is K_{lam mu}
+        s = schur(lam, n)
+        for mu in shapes:
+            assert s.coefficient(mu + (0,) * (n - len(mu))) == _kostka(lam, mu)
+    for mu in shapes:
+        words = math.factorial(n) // math.prod(math.factorial(part) for part in mu)
+        assert sum(_standard_tableaux(lam) * _kostka(lam, mu) for lam in shapes) == words
 
 
 @st.composite
@@ -452,6 +525,33 @@ def test_linearly_independent_agrees_with_sympy_rank(rows):
     matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows])
     rank = matrix.rank() if rows else 0
     assert _linearly_independent(polys) == (rank == len(rows))
+
+
+def _rejected_draws(seed, trials):
+    """Draws (a1, a2, a3) with a1 a2 a3 = 0 in a run of `trials` screened trials."""
+    rng = random.Random(seed)
+    rejected = 0
+    for _ in range(trials):
+        while not math.prod(rng.randint(-100, 100) for _ in range(3)):
+            rejected += 1
+    return rejected
+
+
+def test_local_multiplicity_equals_screening_loop():
+    n = 5  # y, z, a1, a2, a3
+
+    def v(i):
+        return SparsePoly.variable(n, i)
+
+    y, z, a1, a2, a3 = (v(i) for i in range(n))
+    redrawn = [a1 * a2 * a3 * y**3 + z, z**2 + a1 * y]
+    for polys in (_worked_example_pair(), redrawn):
+        for seed in range(20):
+            assert local_multiplicity(polys, trials=10, seed=seed) == oracle_local_multiplicity(
+                polys, trials=10, seed=seed
+            )
+    # a1 a2 a3 vanishes on some draws of these runs, so redraws are covered
+    assert sum(_rejected_draws(seed, 10) for seed in range(20)) > 0
 
 
 @pytest.mark.parametrize("m,d,n", [(m, d, n) for m in range(5) for d in range(6) for n in (1, 2)])
