@@ -11,6 +11,7 @@ exposes everything on the command line.
 from .rationals import BACKEND, QQ
 from .polynomial import (
     SparsePoly,
+    SymmetricPoly,
     discriminant,
     elementary_symmetric,
     from_elementary,

@@ -158,6 +158,10 @@ def cmd_forests_bijection(parser, args):
 def cmd_coha_mul(parser, args):
     if args.m < 0:
         parser.error("--m must be >= 0")
+    if args.left_arity < 0:
+        parser.error("--left-arity must be >= 0")
+    if args.right_arity < 0:
+        parser.error("--right-arity must be >= 0")
     try:
         left = CohaElement(args.left_arity, poly_from_text(args.left, nvars=args.left_arity))
         right = CohaElement(args.right_arity, poly_from_text(args.right, nvars=args.right_arity))

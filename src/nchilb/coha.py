@@ -3,38 +3,42 @@
 Degree-d elements are symmetric polynomials in d variables.  The product
 of elements of arities p and q sums, over all complementary index pairs
 (I, J) of {1,..,d}, the product of the factors evaluated at x_I and x_J
-times the interaction kernel prod (x_j - x_i)^(m-1).  For m >= 1 the
-product is computed from a single block term, symmetrized on partitions
-with integer coefficients.  Every such shuffle sum, including m = 0 where
-the kernel is a denominator, is also one antisymmetrization: multiplying
-the block term by the Vandermonde product turns the sum into rho of a
-polynomial, whose division by the discriminant is exact.
+times the interaction kernel prod (x_j - x_i)^(m-1).  An element keeps its
+polynomial on partitions, as a SymmetricPoly (integer monomial-symmetric
+coefficients over one denominator), and one partition core computes every
+product from a single block term instead of C(d, p) shuffles.  For m >= 1
+the block term times the kernel is summed per sorted exponent.  For m = 0,
+where the kernel is a denominator, the block term times a staircase
+monomial in each block is antisymmetrized.  The x-space polynomial of an
+element is expanded only when it is read.
 
 The same shuffle machinery produces the degree-d kernel generators
 f * (e_q cup g), with f a Schur polynomial in the first p variables and
-g = 1, which present the quotient rings downstream.
+g = 1, which present the quotient rings downstream; on that path no
+generator is ever expanded into x-space.
 """
 
 import math
-from dataclasses import dataclass
+import sys
+from array import array
 from functools import lru_cache
 
 from .polynomial import (
     SparsePoly,
-    _block_discriminant,
+    SymmetricPoly,
+    _alternate_sums,
     _clear_denominators,
     _embed,
     _orbit,
-    _orbit_coefficients,
     _orbit_size,
     _stabilizer_order,
     elementary_symmetric,
+    is_partition,
     is_symmetric,
     partitions_in_box,
     rho,
     schur,
 )
-from .rationals import QQ
 
 __all__ = [
     "CohaElement",
@@ -50,22 +54,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CohaElement:
-    """An arity d >= 0 together with a symmetric polynomial in d variables."""
+    """An arity d >= 0 together with a symmetric polynomial in d variables.
 
-    d: int
-    poly: SparsePoly
+    `symmetric` holds the polynomial on partitions; `poly` is its x-space
+    form, expanded on first read.  Not mutated after construction.
+    """
 
-    def __post_init__(self):
-        if self.d < 0:
+    __slots__ = ("symmetric",)
+
+    def __init__(self, d, poly):
+        if d < 0:
             raise ValueError("arity must be non-negative")
-        if self.poly.nvars != self.d:
+        if poly.nvars != d:
             raise ValueError(
-                f"polynomial has {self.poly.nvars} variables, arity is {self.d}"
+                f"polynomial has {poly.nvars} variables, arity is {d}"
             )
-        if not is_symmetric(self.poly):
+        if not is_symmetric(poly):
             raise ValueError("polynomial is not symmetric")
+        self.symmetric = SymmetricPoly.from_poly(poly)
+
+    @classmethod
+    def _from_symmetric(cls, symmetric):
+        self = object.__new__(cls)
+        self.symmetric = symmetric
+        return self
+
+    @property
+    def d(self):
+        return self.symmetric.nvars
+
+    @property
+    def poly(self):
+        return self.symmetric.poly
+
+    def __eq__(self, other):
+        if not isinstance(other, CohaElement):
+            return NotImplemented
+        return self.d == other.d and self.symmetric == other.symmetric
+
+    def __hash__(self):
+        return hash((self.d, self.symmetric))
+
+    def __repr__(self):
+        return f"CohaElement(d={self.d}, poly={self.poly!r})"
 
     def to_json(self):
         from .polynomial import poly_to_json
@@ -109,76 +141,101 @@ def _kernel_power(p, q, power):
     return kernel
 
 
-def _orbit_representatives(poly):
-    """A symmetric polynomial as integers on its sorted exponents, and a denominator.
+def _shuffle(base, p, q, m, denominator):
+    """The shuffle sum of an S_p x S_q-invariant base, on partitions.
 
-    Each sorted exponent carries its coefficient times its orbit size, so
-    that the symmetrization of the result over S_n is that of poly.
+    `base` maps exponents to integers, over `denominator`.  With kernel =
+    prod_{i<=p<j} (x_j - x_i)^(m-1), the shuffle sum is the sum of
+    sigma(base kernel) over S_d divided by p! q!.
+
+    For m >= 1 the coefficient of m_mu in it is |Stab mu| / (p! q!) times
+    the sum of the coefficients of base * kernel over the orbit of mu.
+    kernel is S_p x S_q-invariant, and because base is too, kernel may be
+    replaced by its sorted-block exponents weighted by orbit size.
+
+    For m = 0, Delta_p Delta_q prod_{i<=p<j} (x_j - x_i) is the full
+    Vandermonde (Delta_p, Delta_q those of the blocks), so the sum is
+    rho(base Delta_p Delta_q) / (p! q!).  Delta_p Delta_q is the signed
+    sum of tau(x^delta) over S_p x S_q, delta = (0, .., p-1, 0, .., q-1),
+    and base is invariant, so that is rho(base x^delta).
     """
-    integers, denom = _clear_denominators(_orbit_coefficients(poly, poly.nvars))
-    return {exp: c * _orbit_size(exp) for exp, c in integers.items()}, denom
-
-
-def _block_shuffle(f, g, m):
-    """Shuffle product for m >= 1 from one block term instead of C(d, p).
-
-    With base = f(x_1..x_p) g(x_{p+1}..x_d) prod_{i<=p<j} (x_j - x_i)^(m-1),
-    which is S_p x S_q-invariant, the shuffle sum is the sum of sigma(base)
-    over S_d divided by p! q!.  Its coefficient of x^mu, mu a partition, is
-    therefore |Stab mu| / (p! q!) times the sum of base over the S_d-orbit
-    of mu.  Both factors are symmetric, so each may be replaced by its
-    sorted exponents weighted by orbit size without changing that sum.
-    """
-    p, q = f.d, g.d
     d = p + q
-    f_reps, f_denom = _orbit_representatives(f.poly)
-    g_reps, g_denom = _orbit_representatives(g.poly)
-    block = {e1 + e2: c1 * c2 for e1, c1 in f_reps.items() for e2, c2 in g_reps.items()}
-    sums = {}
-    for exp, coef in _mul_int(block, _kernel_power(p, q, m - 1)).items():
-        mu = tuple(sorted(exp, reverse=True))
-        sums[mu] = sums.get(mu, 0) + coef
+    if m == 0:
+        delta = tuple(range(p)) + tuple(range(q))
+        shifted = {tuple(a + b for a, b in zip(e, delta)): c for e, c in base.items()}
+        return SymmetricPoly(d, _alternate_sums(shifted, d), denominator)
     norm = math.factorial(p) * math.factorial(q)
-    denom = f_denom * g_denom
-    terms = {}
-    for mu, total in sums.items():
+    coefficients = {}
+    for mu, total in _orbit_sums(base, p, q, m - 1).items():
         coef, rest = divmod(_stabilizer_order(mu) * total, norm)
         if rest:  # the theory forbids this
             raise ArithmeticError(
                 "block symmetrization is not integral; this indicates a bug "
                 "in the shuffle product"
             )
-        if coef:
-            terms.update(dict.fromkeys(_orbit(mu), QQ(coef, denom)))
-    return SparsePoly._make(d, terms)
+        coefficients[mu] = coef
+    return SymmetricPoly(d, coefficients, denominator)
 
 
-def _antisymmetrized_shuffle(base, p, m):
-    """Sum over complementary (I, J) of base(x_I, x_J) prod_{i in I, j in J} (x_j - x_i)^(m-1).
+def _orbit_sums(base, p, q, power):
+    """base * prod_{i<=p<j} (x_j - x_i)^power summed over each S_d-orbit, keyed by sorted exponent.
 
-    base must be S_p x S_q-invariant.  With Delta_p and Delta_q the
-    Vandermonde products of the two blocks and Delta_pq = prod_{i<=p<j}
-    (x_j - x_i), the product Delta_p Delta_q Delta_pq is the full
-    Vandermonde, so rho(base Delta_p Delta_q Delta_pq^m) is the sum of
-    sigma(base Delta_pq^(m-1)) over S_d, which counts every shuffle term
-    p! q! times.  This holds for every m >= 0.
+    Exponents are packed into one int, a field of one array item per
+    variable, wide enough that adding two packed ints adds the exponent
+    vectors; each distinct product is unpacked once, to be sorted.
     """
-    q = base.nvars - p
-    kernel = SparsePoly(p + q, _kernel_power(p, q, m))
-    return rho(base * _block_discriminant(p, q) * kernel) * QQ(
-        1, math.factorial(p) * math.factorial(q)
+    top = max((max(e, default=0) for e in base), default=0) + max(p, q) * power
+    fmt = next((f for f in "BHIQ" if top < 256 ** array(f).itemsize), None)
+    if fmt is None:
+        raise OverflowError(f"exponent {top} does not fit a 64-bit field of the shuffle product")
+    size = (p + q) * array(fmt).itemsize
+    kernel = _kernel_representatives(p, q, power, fmt)
+    products = {}
+    get = products.get
+    for exp, c1 in base.items():
+        k1 = _pack(exp, fmt)
+        for k2, c2 in kernel:
+            key = k1 + k2
+            products[key] = get(key, 0) + c1 * c2
+    totals = {}
+    for key, coef in products.items():
+        if coef:
+            fields = memoryview(key.to_bytes(size, sys.byteorder)).cast(fmt)
+            mu = tuple(sorted(fields, reverse=True))
+            totals[mu] = totals.get(mu, 0) + coef
+    return totals
+
+
+def _pack(exp, fmt):
+    return int.from_bytes(array(fmt, exp).tobytes(), sys.byteorder)
+
+
+@lru_cache(maxsize=None)
+def _kernel_representatives(p, q, power, fmt):
+    """The kernel power on its sorted-block exponents, weighted by S_p x S_q-orbit size.
+
+    Returned as (packed exponent, coefficient) pairs.
+    """
+    return tuple(
+        (_pack(e, fmt), c * _orbit_size(e[:p]) * _orbit_size(e[p:]))
+        for e, c in _kernel_power(p, q, power).items()
+        if is_partition(e[:p]) and is_partition(e[p:])
     )
+
+
+def _expanded(symmetric):
+    """The integers of a SymmetricPoly on every exponent of every orbit."""
+    return {e: c for mu, c in symmetric.coefficients.items() for e in _orbit(mu)}
 
 
 def coha_mul(f, g, m):
     """Shuffle product of two elements, of arity f.d + g.d."""
     if m < 0:
         raise ValueError("loop count m must be non-negative")
-    if m >= 1:
-        return CohaElement(f.d + g.d, _block_shuffle(f, g, m))
-    d = f.d + g.d
-    base = _embed(f.poly, tuple(range(f.d)), d) * _embed(g.poly, tuple(range(f.d, d)), d)
-    return CohaElement(d, _antisymmetrized_shuffle(base, f.d, m))
+    left, right = _expanded(f.symmetric), _expanded(g.symmetric)
+    base = {e1 + e2: c1 * c2 for e1, c1 in left.items() for e2, c2 in right.items()}
+    denominator = f.symmetric.denominator * g.symmetric.denominator
+    return CohaElement._from_symmetric(_shuffle(base, f.d, g.d, m, denominator))
 
 
 def psi(k):
@@ -227,7 +284,12 @@ def shuffle_expression(h, p, q, m):
     d = p + q
     if h.nvars != d:
         raise ValueError(f"h has {h.nvars} variables, expected {d}")
-    return _antisymmetrized_shuffle(h * _right_variables(p, q), p, m)
+    if m < 0:
+        raise ValueError("loop count m must be non-negative")
+    if not is_symmetric(h, block=(p, q)):
+        raise ValueError(f"h is not invariant under S_{p} x S_{q}")
+    base, denominator = _clear_denominators((h * _right_variables(p, q)).terms)
+    return _shuffle(base, p, q, m, denominator).poly
 
 
 def module_basis(p, q):
@@ -260,9 +322,9 @@ def kernel_generators(d, m):
 
 def bidegree(f, m):
     """(d, k) with k = (m-1) d (d-1) / 2 minus the cohomological degree."""
-    if f.poly.is_zero():
+    degrees = {sum(mu) for mu in f.symmetric.coefficients}
+    if not degrees:
         raise ValueError("the zero element has no bidegree")
-    if not f.poly.is_homogeneous():
+    if len(degrees) > 1:
         raise ValueError("element is not homogeneous")
-    c = f.poly.degree()
-    return (f.d, (m - 1) * f.d * (f.d - 1) // 2 - c)
+    return (f.d, (m - 1) * f.d * (f.d - 1) // 2 - degrees.pop())

@@ -11,7 +11,9 @@ generators.  rho is read off the terms: each term with distinct block
 entries contributes a signed product of Schur polynomials, expanded into
 monomial symmetric functions by Kostka numbers.  Symmetry checks and the
 change of basis work on the coefficients of the sorted exponents, that is
-on partitions.
+on partitions; SymmetricPoly holds a symmetric polynomial in that form,
+with integer coefficients over one denominator, and expands it into
+x-space only when asked.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from .rationals import QQ, rational_from_string
 
 __all__ = [
     "SparsePoly",
+    "SymmetricPoly",
     "elementary_symmetric",
     "monomial_symmetric",
     "schur",
@@ -57,6 +60,8 @@ class SparsePoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
+        if nvars < 0:
+            raise ValueError(f"variable count must be non-negative, got {nvars}")
         clean = {}
         if terms:
             for exp, coef in terms.items():
@@ -268,6 +273,63 @@ class SparsePoly:
         return poly_to_text(self)
 
 
+class SymmetricPoly:
+    """A symmetric polynomial on partitions, over one integer denominator.
+
+    `coefficients` maps partitions, padded with zeros to `nvars` parts, to
+    nonzero integers: the polynomial is the sum of coefficients[mu] /
+    denominator times the monomial symmetric function m_mu.  This is the
+    form that shuffle products and the change of basis compute with;
+    `poly` expands it into x-space on first read.  Not mutated after
+    construction.
+    """
+
+    __slots__ = ("nvars", "coefficients", "denominator", "_poly")
+
+    def __init__(self, nvars, coefficients, denominator=1):
+        self.nvars = nvars
+        self.coefficients = {mu: c for mu, c in coefficients.items() if c}
+        self.denominator = denominator
+        self._poly = None
+
+    @classmethod
+    def from_poly(cls, f):
+        """The partition form of a SparsePoly; ValueError unless f is symmetric."""
+        coefficients = _orbit_coefficients(f, f.nvars)
+        if coefficients is None:
+            raise ValueError("polynomial is not symmetric")
+        self = cls(f.nvars, *_clear_denominators(coefficients))
+        self._poly = f
+        return self
+
+    @property
+    def poly(self):
+        """The x-space SparsePoly: every monomial of every orbit."""
+        if self._poly is None:
+            terms = {}
+            for mu, c in self.coefficients.items():
+                terms.update(dict.fromkeys(_orbit(mu), QQ(c, self.denominator)))
+            self._poly = SparsePoly._make(self.nvars, terms)
+        return self._poly
+
+    def is_zero(self):
+        return not self.coefficients
+
+    def _rationals(self):
+        return {mu: QQ(c, self.denominator) for mu, c in self.coefficients.items()}
+
+    def __eq__(self, other):
+        if not isinstance(other, SymmetricPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self._rationals() == other._rationals()
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self._rationals().items())))
+
+    def __repr__(self):
+        return f"SymmetricPoly({self.nvars}, {self.coefficients!r}, {self.denominator})"
+
+
 # ---------------------------------------------------------------------------
 # symmetric-function constructors
 
@@ -331,19 +393,28 @@ def _alternate(f, p):
     term therefore gives a signed product of two Schur polynomials, summed
     on monomial-symmetric coefficients and expanded one orbit pair at a time.
     """
-    sums = {}
-    for exp, coef in f.terms.items():
-        left, right = _signed_schur(exp[:p]), _signed_schur(exp[p:])
-        for mu, k in left:
-            for nu, c in right:
-                sums[mu + nu] = sums.get(mu + nu, 0) + coef * k * c
     terms = {}
-    for key, coef in sums.items():
+    for key, coef in _alternate_sums(f.terms, p).items():
         if coef:
             for mu in _orbit(key[:p]):
                 for nu in _orbit(key[p:]):
                     terms[mu + nu] = coef
     return SparsePoly._make(f.nvars, terms)
+
+
+def _alternate_sums(terms, p):
+    """rho over S_p x S_q of a map from exponents to coefficients, on partitions.
+
+    Returns the coefficient of m_mu(x_1..x_p) m_nu(x_{p+1}..) under the key
+    mu + nu, both padded; zero sums are kept.
+    """
+    sums = {}
+    for exp, coef in terms.items():
+        left, right = _signed_schur(exp[:p]), _signed_schur(exp[p:])
+        for mu, k in left:
+            for nu, c in right:
+                sums[mu + nu] = sums.get(mu + nu, 0) + coef * k * c
+    return sums
 
 
 @lru_cache(maxsize=None)
@@ -387,15 +458,6 @@ def _kostka(lam, mu):
         _kostka(tuple(part for part in nu if part), mu[:-1])
         for nu in itertools.product(*ranges)
         if sum(nu) == size
-    )
-
-
-@lru_cache(maxsize=None)
-def _block_discriminant(p, q):
-    """The discriminants of x_1..x_p and of x_{p+1}..x_{p+q}, multiplied, in p + q variables."""
-    d = p + q
-    return _embed(discriminant(p), tuple(range(p)), d) * _embed(
-        discriminant(q), tuple(range(p, d)), d
     )
 
 
@@ -618,17 +680,15 @@ def _e_monomial(a):
 def to_elementary(f):
     """Rewrite a symmetric polynomial as a polynomial in e_1, .., e_d.
 
-    Classical descent on the monomial-symmetric coefficients, that is on
-    the coefficients of the weakly decreasing exponents: repeatedly
-    subtract the e-monomial whose expansion has the same lex-leading
-    partition.  The arithmetic is in integers after clearing the common
-    denominator.  Raises ValueError when f is not symmetric.
+    f is a SymmetricPoly, or a SparsePoly that is read once into one and
+    raises ValueError when it is not symmetric.  Classical descent on the
+    integer monomial-symmetric coefficients: repeatedly subtract the
+    e-monomial whose expansion has the same lex-leading partition.
     """
+    if not isinstance(f, SymmetricPoly):
+        f = SymmetricPoly.from_poly(f)
     d = f.nvars
-    coefficients = _orbit_coefficients(f, d)
-    if coefficients is None:
-        raise ValueError("polynomial is not symmetric")
-    remainder, denom = _clear_denominators(coefficients)
+    remainder, denom = dict(f.coefficients), f.denominator
     result = {}
     while remainder:
         lead = max(remainder)
@@ -690,6 +750,8 @@ _FACTOR_RE = re.compile(r"\*([a-z])(\d+)(?:\^(\d+))?")
 
 def poly_from_text(s, nvars=None):
     """Parse the canonical text grammar; infers the variable count if not given."""
+    if nvars is not None and nvars < 0:
+        raise ValueError(f"variable count must be non-negative, got {nvars}")
     s = s.strip()
     if s == "0":
         return SparsePoly.zero(nvars or 0)

@@ -54,9 +54,9 @@ def e_weights(d):
 def kernel_ideal_generators(d, m):
     """Kernel generators rewritten in the e-variables, zeros dropped."""
     return [
-        to_elementary(element.poly)
+        to_elementary(element.symmetric)
         for element in kernel_generators(d, m)
-        if not element.poly.is_zero()
+        if not element.symmetric.is_zero()
     ]
 
 

@@ -3,12 +3,17 @@
 `perfbench/tracer.py` wraps public names of the library from outside, and
 `perfbench/common.py` lists the spans each workload must produce.  Both
 files are read as source, never imported or changed, so a renamed or
-deleted name fails here instead of only in a traced benchmark run.
+deleted name fails here instead of only in a traced benchmark run.  One
+traced `verify` child runs in a subprocess, so that a library path that
+still exists but no longer goes through the wrapped names fails here too.
 """
 
 import ast
 import importlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +50,28 @@ def test_every_required_span_is_produced():
     for workload, required in REQUIRED_SPANS.items():
         missing = sorted(set(required) - produced)
         assert not missing, f"{workload} requires spans that no wrap produces: {missing}"
+
+
+def test_traced_verify_child_checks_and_spans():
+    """A traced `chow verify` at (2, 5): stored e-generators equal, layer spans fired."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ)
+    src = os.path.join(root, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "child.py"), "--task", "verify",
+         "--m", "2", "--d", "5", "--trace", "1"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    # the traced check compares the traced to_elementary results with the stored file
+    assert result["errors"] == []
+    fired = {span[0] for span in result["spans"]}
+    for name in (
+        "coha.kernel_generators",
+        "polynomial.schur",
+        "polynomial.is_symmetric",
+        "polynomial.to_elementary",
+    ):
+        assert name in fired, f"span {name} did not fire"
+    assert result["counts"]["coha.generators"] == 31

@@ -75,6 +75,17 @@ def test_coha_mul_json(capsys):
     assert poly.degree() == 2
 
 
+@pytest.mark.parametrize("flag", ["--left-arity", "--right-arity"])
+def test_coha_mul_negative_arity_exits_2(capsys, flag):
+    argv = ["coha", "mul", "--m", "2", "--left", "1*x1", "--left-arity", "1",
+            "--right", "1", "--right-arity", "0"]
+    argv[argv.index(flag) + 1] = "-1"
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"{flag} must be >= 0" in capsys.readouterr().err
+
+
 def test_coha_psi_text(capsys):
     code, out, _ = run(capsys, "coha", "psi", "--k", "2")
     assert code == 0

@@ -256,6 +256,22 @@ def test_tautological_relation_matches_shuffle_form():
                 assert lhs == rhs
 
 
+def test_exponent_past_the_packed_field_raises():
+    # the kernel x_2 - x_1 raises the top exponent by one
+    top = coha_mul(psi(2**64 - 2), psi(0), 2).poly
+    assert top == coha_mul(psi(0), psi(2**64 - 2), 2).poly * -1
+    assert top.degree() == 2**64 - 1
+    with pytest.raises(OverflowError, match="64-bit"):
+        coha_mul(psi(2**64 - 1), psi(0), 2)
+
+
+def test_shuffle_expression_rejects_bad_input():
+    with pytest.raises(ValueError, match="not invariant"):
+        shuffle_expression(x(1, 3), 2, 1, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        shuffle_expression(SparsePoly.const(3, 1), 1, 2, -1)
+
+
 # ---------------------------------------------------------------------------
 # module bases and kernel generators
 

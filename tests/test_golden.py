@@ -30,6 +30,27 @@ GOLDEN = [
         ["chow", "hilbert", "--format", "json", "--m", "2", "--d", "5"],
     ),
     ("paper_example.json", ["paper-example", "--format", "json"]),
+    (
+        "coha_relations_m2_d4.json",
+        ["coha", "relations", "--m", "2", "--d", "4", "--format", "json"],
+    ),
+    (
+        "coha_relations_m0_d3.json",
+        ["coha", "relations", "--m", "0", "--d", "3", "--format", "json"],
+    ),
+    (
+        "coha_psi_product_m2_ks0_1_3.json",
+        ["coha", "psi-product", "--m", "2", "--ks", "0,1,3", "--format", "json"],
+    ),
+    (
+        "coha_mul_m2_rational_left.json",
+        [
+            "coha", "mul", "--m", "2",
+            "--left", "1/2*x1", "--left-arity", "1",
+            "--right", "1*x1^2 + 1*x2^2 - 2/3*x1*x2", "--right-arity", "2",
+            "--format", "json",
+        ],
+    ),
 ]
 
 

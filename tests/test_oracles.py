@@ -1,9 +1,10 @@
 """The partition-space symmetry check, change of basis and kernel generators
 against the x-space oracles in helpers.py and the stored benchmark inputs;
 rho and rho_pq against the bialternant, and the Kostka numbers behind them
-against closed-form identities; the antisymmetrized m = 0 shuffle product
-against the subset-sum oracle; the local multiplicity against the loop that
-screens draws by leading coefficients; the
+against closed-form identities; the partition-core shuffle product (m = 0..3)
+and its change of basis against the subset-sum and x-space descent oracles,
+and the presentation path without any x-space expansion; the local
+multiplicity against the loop that screens draws by leading coefficients; the
 packed-monomial Buchberger, normal forms, order and divisibility against the
 tuple-exponent oracle, and the kernel ideals against sympy's bases; the
 order-ideal walk of a basis against exhaustive box and cone walks; the
@@ -30,9 +31,11 @@ from nchilb.forests import enumerate_forests, forest_to_jtuple
 from nchilb.groebner import GroebnerBasis, _Order, buchberger, normal_form
 from nchilb.polynomial import (
     SparsePoly,
+    SymmetricPoly,
     _kostka,
     from_elementary,
     is_symmetric,
+    monomial_symmetric,
     poly_to_text,
     rho,
     rho_pq,
@@ -253,6 +256,56 @@ def test_m0_product_equals_subset_sum_oracle(case):
     product = coha_mul(CohaElement(p, f), CohaElement(q, g), 0)
     assert product.d == p + q
     assert product.poly == oracle_shuffle(f, p, g, q, 0)
+
+
+@st.composite
+def partition_products(draw):
+    """(f, p, g, q, m): symmetric f and g as sums of rational m_lam, p + q <= 5, m <= 3.
+
+    At d = 5 only m = 1 and 2 are drawn: the m = 0 oracle divides by a
+    product of C(5, p) kernels and the m = 3 oracles take seconds per case.
+    """
+    p = draw(st.integers(0, 5))
+    q = draw(st.integers(0, 5 - p))
+    m = draw(st.integers(1, 2) if p + q == 5 else st.integers(0, 3))
+    factors = []
+    for n in (p, q):
+        parts = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+            lambda lam: tuple(sorted(lam, reverse=True))
+        )
+        lams = draw(st.lists(parts, max_size=3, unique=True))
+        coefs = draw(st.lists(fractions, min_size=len(lams), max_size=len(lams)))
+        f = SparsePoly.zero(n)
+        for lam, c in zip(lams, coefs):
+            f = f + monomial_symmetric(lam, n) * c
+        factors.append(f)
+    return factors[0], p, factors[1], q, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition_products())
+def test_partition_product_equals_shuffle_oracle(case):
+    f, p, g, q, m = case
+    product = coha_mul(CohaElement(p, f), CohaElement(q, g), m)
+    assert product.d == p + q
+    expanded = product.poly
+    assert expanded == oracle_shuffle(f, p, g, q, m)
+    assert to_elementary(product.symmetric) == oracle_to_elementary(expanded)
+
+
+def test_presentation_path_never_expands_to_x_space(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a partition form was expanded into x-space")
+
+    monkeypatch.setattr(SymmetricPoly, "poly", property(refuse))
+    with pytest.raises(AssertionError, match="expanded"):
+        kernel_generators(2, 2)[0].poly
+    with open(os.path.join(INPUTS, "m2_d5.txt")) as fh:
+        stored = fh.read()
+    gens = kernel_ideal_generators(5, 2)
+    assert "".join(poly_to_text(g, names="e") + "\n" for g in gens) == stored
+    report = nchilb.presentation.presentation_report(2, 4)
+    assert report.verdicts == {"chern_basis": True, "poincare_match": True}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Polynomial core: arithmetic, symmetric functions, antisymmetrization, codecs."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from nchilb.polynomial import (
     SparsePoly,
+    SymmetricPoly,
     discriminant,
     elementary_symmetric,
     from_elementary,
@@ -206,6 +208,36 @@ def test_to_elementary_rejects_non_symmetric():
         to_elementary(x(1, 2))
     with pytest.raises(ValueError):
         to_elementary(x(1, 2) ** 2 * x(2, 2))
+
+
+def test_symmetric_poly_partition_form():
+    f = x(1, 3) ** 2 + x(2, 3) ** 2 + x(3, 3) ** 2 + elementary_symmetric(3, 3) * Fraction(1, 2)
+    s = SymmetricPoly.from_poly(f)
+    assert s.coefficients == {(2, 0, 0): 2, (1, 1, 1): 1}
+    assert s.denominator == 2
+    assert s.poly is f
+    # a fresh form expands into every monomial of every orbit
+    fresh = SymmetricPoly(3, {(2, 0, 0): 4, (1, 1, 1): 2, (1, 0, 0): 0}, 4)
+    assert fresh.coefficients == {(2, 0, 0): 4, (1, 1, 1): 2}
+    assert fresh.poly == f
+    assert fresh == s and hash(fresh) == hash(s)
+    assert fresh != SymmetricPoly(3, {(2, 0, 0): 4}, 4)
+    assert to_elementary(fresh) == to_elementary(f)
+    assert SymmetricPoly(2, {}).is_zero() and SymmetricPoly(2, {}).poly.is_zero()
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymmetricPoly.from_poly(x(1, 2))
+
+
+def test_negative_variable_count_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        SparsePoly(-1, {})
+    with pytest.raises(ValueError, match="non-negative"):
+        SparsePoly(-1)
+    for text in ("0", "1", "1*x1"):
+        with pytest.raises(ValueError, match="non-negative"):
+            poly_from_text(text, nvars=-3)
+    assert SparsePoly(0, {(): 2}).nvars == 0
+    assert poly_from_text("0", nvars=0).nvars == 0
 
 
 def test_to_elementary_round_trip_randomized():

@@ -1,7 +1,10 @@
 """Presentations: kernel ideals, quotient bases, census matches, multiplicities."""
 
+import json
+
 import pytest
 
+from nchilb.cli import main
 from nchilb.forests import enumerate_btuples, enumerate_forests
 from nchilb.groebner import GroebnerBasis, buchberger, ideal_equals, normal_form
 from nchilb.polynomial import SparsePoly, poly_from_text
@@ -105,6 +108,14 @@ def test_chern_basis_3_2():
 @pytest.mark.parametrize("m,d", [(2, 2), (2, 3), (3, 3)])
 def test_poincare_match(m, d):
     assert verify_poincare_match(m, d)
+
+
+def test_chow_verify_passes_at_the_m2_frontier(capsys):
+    # (2, 7): 127 kernel generators; the quotient dimension is the
+    # Fuss-Catalan number binom(2 * 7, 7) / (7 + 1) = 429
+    assert main(["chow", "verify", "--m", "2", "--d", "7", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"chern_basis": True, "poincare_match": True}
+    assert kernel_ideal(2, 7).quotient_dimension() == 429
 
 
 # ---------------------------------------------------------------------------
