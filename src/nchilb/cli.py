@@ -4,7 +4,10 @@ Subcommands mirror the library layers (`forests`, `coha`, `chow`) plus
 `paper-example`, which replays the complete worked m=2, d=3, n=1 pipeline
 and exits nonzero unless every pinned value matches.  Results go to
 stdout, diagnostics to stderr; exit code 2 flags usage errors and 1 flags
-computation errors.
+computation errors.  Each integer option is declared once, with the least
+value it accepts; `main` checks every declared bound right after parsing
+and reports a violation as `<flag> must be >= <low>` under the usage line
+of the subcommand.  Checks that compare two inputs stay in the commands.
 """
 
 import argparse
@@ -14,7 +17,6 @@ import sys
 from . import __version__
 from .coha import CohaElement, coha_mul, forbidden_polynomial, kernel_generators, psi, psi_product
 from .forests import (
-    ambient_dimension,
     check_digit_alphabet,
     enumerate_forests,
     forest_to_json,
@@ -34,6 +36,7 @@ from .presentation import (
     kernel_ideal,
     local_multiplicity,
     presentation_report,
+    top_degree,
     verify_chern_basis,
     verify_poincare_match,
 )
@@ -74,30 +77,20 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
 
-def _check_mdn(parser, args, need_n=True):
-    if args.m < 0:
-        parser.error("--m must be >= 0")
-    if getattr(args, "d", 0) < 0:
-        parser.error("--d must be >= 0")
-    if need_n and args.n < 1:
-        parser.error("--n must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # forests
 
 
-def _check_words(parser, args):
+def _check_words(args):
     """Refuse before enumerating when the forests could not be printed."""
     try:
         check_digit_alphabet(args.m)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
-def cmd_forests_enum(parser, args):
-    _check_mdn(parser, args)
-    _check_words(parser, args)
+def cmd_forests_enum(args):
+    _check_words(args)
     data = [forest_to_json(f) for f in enumerate_forests(args.m, args.d, args.n)]
 
     def render(payload):
@@ -108,24 +101,21 @@ def cmd_forests_enum(parser, args):
     return 0
 
 
-def cmd_forests_count(parser, args):
-    _check_mdn(parser, args)
+def cmd_forests_count(args):
     count = len(enumerate_forests(args.m, args.d, args.n))
     _emit({"count": count}, args, lambda payload: print(payload["count"]))
     return 0
 
 
-def cmd_forests_poincare(parser, args):
-    _check_mdn(parser, args)
+def cmd_forests_poincare(args):
     coeffs = poincare_polynomial(args.m, args.d, args.n, by=args.by)
     payload = {"by": args.by, "coefficients": coeffs}
     _emit(payload, args, lambda p: print(_poincare_text(p["coefficients"])))
     return 0
 
 
-def cmd_forests_bijection(parser, args):
-    _check_mdn(parser, args)
-    _check_words(parser, args)
+def cmd_forests_bijection(args):
+    _check_words(args)
     rows = []
     for forest in enumerate_forests(args.m, args.d, args.n):
         j = forest_to_jtuple(forest)
@@ -155,18 +145,12 @@ def cmd_forests_bijection(parser, args):
 # coha
 
 
-def cmd_coha_mul(parser, args):
-    if args.m < 0:
-        parser.error("--m must be >= 0")
-    if args.left_arity < 0:
-        parser.error("--left-arity must be >= 0")
-    if args.right_arity < 0:
-        parser.error("--right-arity must be >= 0")
+def cmd_coha_mul(args):
     try:
         left = CohaElement(args.left_arity, poly_from_text(args.left, nvars=args.left_arity))
         right = CohaElement(args.right_arity, poly_from_text(args.right, nvars=args.right_arity))
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     product = coha_mul(left, right, args.m)
     _emit(
         product.to_json(),
@@ -176,9 +160,7 @@ def cmd_coha_mul(parser, args):
     return 0
 
 
-def cmd_coha_psi(parser, args):
-    if args.k < 0:
-        parser.error("--k must be >= 0")
+def cmd_coha_psi(args):
     element = psi(args.k)
     _emit(
         element.to_json(),
@@ -188,12 +170,10 @@ def cmd_coha_psi(parser, args):
     return 0
 
 
-def cmd_coha_psi_product(parser, args):
-    if args.m < 0:
-        parser.error("--m must be >= 0")
+def cmd_coha_psi_product(args):
     ks = args.ks
     if not ks or any(k < 0 for k in ks):
-        parser.error("--ks needs a non-empty list of indices >= 0")
+        args.parser.error("--ks needs a non-empty list of indices >= 0")
     element = psi_product(ks, args.m)
     label = " * ".join(f"psi_{k}" for k in ks)
     _emit(
@@ -204,21 +184,15 @@ def cmd_coha_psi_product(parser, args):
     return 0
 
 
-def cmd_coha_forbidden(parser, args):
-    if args.m < 0:
-        parser.error("--m must be >= 0")
+def cmd_coha_forbidden(args):
     if not 0 <= args.p < args.d:
-        parser.error("need 0 <= p < d")
+        args.parser.error("need 0 <= p < d")
     poly = forbidden_polynomial(args.p, args.d, args.m)
     _emit(poly_to_json(poly), args, lambda p: print(poly_to_text(poly)))
     return 0
 
 
-def cmd_coha_relations(parser, args):
-    if args.m < 0:
-        parser.error("--m must be >= 0")
-    if args.d < 1:
-        parser.error("--d must be >= 1")
+def cmd_coha_relations(args):
     gens = kernel_generators(args.d, args.m)
     payload = [g.to_json() for g in gens]
 
@@ -234,9 +208,7 @@ def cmd_coha_relations(parser, args):
 # chow
 
 
-def cmd_chow_presentation(parser, args):
-    if args.m < 0 or args.d < 1:
-        parser.error("need --m >= 0 and --d >= 1")
+def cmd_chow_presentation(args):
     report = presentation_report(args.m, args.d, minimal=args.minimal)
     payload = report.to_json()
 
@@ -261,16 +233,9 @@ def cmd_chow_presentation(parser, args):
     return 0
 
 
-def cmd_chow_hilbert(parser, args):
-    if args.m < 0 or args.d < 1:
-        parser.error("need --m >= 0 and --d >= 1")
-    max_deg = args.max_deg
-    if max_deg is None:
-        max_deg = max(ambient_dimension(args.m, args.d, 1), 0)
-    elif max_deg < 0:
-        parser.error("--max-deg must be >= 0")
-    gb = kernel_ideal(args.m, args.d)
-    values = gb.hilbert_function(max_deg)
+def cmd_chow_hilbert(args):
+    max_deg = top_degree(args.m, args.d) if args.max_deg is None else args.max_deg
+    values = kernel_ideal(args.m, args.d).hilbert_function(max_deg)
     _emit(
         {"m": args.m, "d": args.d, "hilbert": values},
         args,
@@ -279,9 +244,7 @@ def cmd_chow_hilbert(parser, args):
     return 0
 
 
-def cmd_chow_verify(parser, args):
-    if args.m < 0 or args.d < 1:
-        parser.error("need --m >= 0 and --d >= 1")
+def cmd_chow_verify(args):
     gb = kernel_ideal(args.m, args.d)
     basis_ok = verify_chern_basis(args.m, args.d, gb)
     poincare_ok = verify_poincare_match(args.m, args.d, gb)
@@ -295,19 +258,13 @@ def cmd_chow_verify(parser, args):
     return 0 if basis_ok and poincare_ok else 1
 
 
-def _check_trials(parser, args):
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-
-
-def cmd_chow_multiplicity(parser, args):
-    _check_trials(parser, args)
+def cmd_chow_multiplicity(args):
     if args.vars < args.local:
-        parser.error("--vars must be at least --local")
+        args.parser.error("--vars must be at least --local")
     try:
         polys = [poly_from_text(text, nvars=args.vars) for text in args.poly]
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     value = local_multiplicity(polys, trials=args.trials, seed=args.seed, local_vars=args.local)
     _emit({"multiplicity": value}, args, lambda p: print(p["multiplicity"]))
     return 0
@@ -341,8 +298,7 @@ def _worked_example_pair():
     return [g1, g2]
 
 
-def cmd_paper_example(parser, args):
-    _check_trials(parser, args)
+def cmd_paper_example(args):
     checks = []
 
     def check(name, ok, detail=""):
@@ -438,6 +394,28 @@ def cmd_paper_example(parser, args):
 # parser assembly
 
 
+# An option is (flag, least value or None, add_argument keywords); options
+# that several subcommands take are declared once here.
+
+
+def _int(flag, low=None, **spec):
+    """An integer option; `main` refuses a value below `low`."""
+    return flag, low, dict(spec, type=int)
+
+
+def _opt(flag, **spec):
+    return flag, None, spec
+
+
+def _d(low):
+    return _int("--d", low, required=True, help="dimension, the forests' total node count")
+
+
+M = _int("--m", 0, required=True, help="number of loops, the forests' alphabet size")
+FOREST_SHAPE = (M, _d(0), _int("--n", 1, default=1, help="number of roots"))
+SEED_TRIALS = (_int("--seed", default=0), _int("--trials", 1, default=5))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nchilb",
@@ -451,98 +429,59 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    forests = sub.add_parser("forests", help="m-ary forest combinatorics")
-    fsub = forests.add_subparsers(dest="subcommand", required=True)
-    for name, func, extra in (
-        ("enum", cmd_forests_enum, ()),
-        ("count", cmd_forests_count, ()),
-        ("poincare", cmd_forests_poincare, ("by",)),
-        ("bijection", cmd_forests_bijection, ()),
-    ):
-        p = fsub.add_parser(name, parents=[common])
-        p.add_argument("--m", type=int, required=True, help="alphabet size")
-        p.add_argument("--d", type=int, required=True, help="total node count")
-        p.add_argument("--n", type=int, default=1, help="number of roots")
-        if "by" in extra:
-            p.add_argument("--by", choices=("dim", "codim"), default="dim")
-        p.set_defaults(func=func, parser=p)
+    def group(name, summary):
+        return sub.add_parser(name, help=summary).add_subparsers(dest="subcommand", required=True)
 
-    coha = sub.add_parser("coha", help="shuffle-product algebra")
-    csub = coha.add_subparsers(dest="subcommand", required=True)
+    def command(parent, name, func, *options, **kwargs):
+        p = parent.add_parser(name, parents=[common], **kwargs)
+        bounds = []
+        for flag, low, spec in options:
+            dest = p.add_argument(flag, **spec).dest
+            if low is not None:
+                bounds.append((flag, dest, low))
+        p.set_defaults(func=func, parser=p, bounds=bounds)
 
-    p = csub.add_parser("mul", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--left", required=True, help="left factor, text grammar in x-variables")
-    p.add_argument("--left-arity", type=int, required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--right-arity", type=int, required=True)
-    p.set_defaults(func=cmd_coha_mul, parser=p)
+    forests = group("forests", "m-ary forest combinatorics")
+    command(forests, "enum", cmd_forests_enum, *FOREST_SHAPE)
+    command(forests, "count", cmd_forests_count, *FOREST_SHAPE)
+    by = _opt("--by", choices=("dim", "codim"), default="dim")
+    command(forests, "poincare", cmd_forests_poincare, *FOREST_SHAPE, by)
+    command(forests, "bijection", cmd_forests_bijection, *FOREST_SHAPE)
 
-    p = csub.add_parser("psi", parents=[common])
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_coha_psi, parser=p)
+    coha = group("coha", "shuffle-product algebra")
+    left = _opt("--left", required=True, help="left factor, text grammar in x-variables")
+    command(coha, "mul", cmd_coha_mul, M, left, _int("--left-arity", 0, required=True),
+            _opt("--right", required=True), _int("--right-arity", 0, required=True))
+    command(coha, "psi", cmd_coha_psi, _int("--k", 0, required=True))
+    ks = _opt("--ks", type=_int_list, required=True, help="comma-separated indices")
+    command(coha, "psi-product", cmd_coha_psi_product, M, ks)
+    command(coha, "forbidden", cmd_coha_forbidden, M, _d(None), _int("--p", required=True))
+    command(coha, "relations", cmd_coha_relations, M, _d(1))
 
-    p = csub.add_parser("psi-product", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--ks", type=_int_list, required=True, help="comma-separated indices")
-    p.set_defaults(func=cmd_coha_psi_product, parser=p)
+    chow = group("chow", "quotient-ring presentations")
+    minimal = _opt("--minimal", action="store_true", help="also report a minimal generator subset")
+    command(chow, "presentation", cmd_chow_presentation, M, _d(1), minimal)
+    command(chow, "hilbert", cmd_chow_hilbert, M, _d(1), _int("--max-deg", 0, default=None))
+    command(chow, "verify", cmd_chow_verify, M, _d(1))
+    command(chow, "multiplicity", cmd_chow_multiplicity,
+            _int("--vars", required=True, help="total variable count"),
+            _int("--local", 0, default=2, help="leading local variables"),
+            _opt("--poly", action="append", required=True, help="repeatable polynomial input"),
+            *SEED_TRIALS)
 
-    p = csub.add_parser("forbidden", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=cmd_coha_forbidden, parser=p)
-
-    p = csub.add_parser("relations", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_coha_relations, parser=p)
-
-    chow = sub.add_parser("chow", help="quotient-ring presentations")
-    hsub = chow.add_subparsers(dest="subcommand", required=True)
-
-    p = hsub.add_parser("presentation", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--minimal", action="store_true", help="also report a minimal generator subset")
-    p.set_defaults(func=cmd_chow_presentation, parser=p)
-
-    p = hsub.add_parser("hilbert", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-deg", type=int, default=None)
-    p.set_defaults(func=cmd_chow_hilbert, parser=p)
-
-    p = hsub.add_parser("verify", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_chow_verify, parser=p)
-
-    p = hsub.add_parser("multiplicity", parents=[common])
-    p.add_argument("--vars", type=int, required=True, help="total variable count")
-    p.add_argument("--local", type=int, default=2, help="leading local variables")
-    p.add_argument("--poly", action="append", required=True, help="repeatable polynomial input")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(func=cmd_chow_multiplicity, parser=p)
-
-    p = sub.add_parser(
-        "paper-example",
-        parents=[common],
-        help="replay the worked m=2, d=3, n=1 pipeline and verify every pinned value",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(func=cmd_paper_example, parser=p)
-
+    command(sub, "paper-example", cmd_paper_example, *SEED_TRIALS,
+            help="replay the worked m=2, d=3, n=1 pipeline and verify every pinned value")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for flag, dest, low in args.bounds:
+        value = getattr(args, dest)
+        if value is not None and value < low:
+            args.parser.error(f"{flag} must be >= {low}")
     try:
-        return args.func(args.parser, args)
+        return args.func(args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ import operator
 import re
 from functools import lru_cache
 
-from .rationals import QQ, rational_from_string
+from .rationals import QQ
 
 __all__ = [
     "SparsePoly",
@@ -92,8 +92,8 @@ class SparsePoly:
         return cls._make(nvars, {(0,) * nvars: QQ(value)})
 
     @classmethod
-    def monomial(cls, nvars, exp, coef=1):
-        return cls(nvars, {tuple(exp): coef})
+    def monomial(cls, nvars, exp):
+        return cls(nvars, {tuple(exp): 1})
 
     @classmethod
     def variable(cls, nvars, index):
@@ -206,10 +206,6 @@ class SparsePoly:
         if not self.terms:
             return -1
         return max(sum(w * a for w, a in zip(weights, e)) for e in self.terms)
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     def constant(self):
         """Coefficient of the constant term."""
@@ -339,6 +335,8 @@ def elementary_symmetric(k, d):
     """e_k in d variables; e_0 = 1, and by convention zero for k > d."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    if d < 0:
+        raise ValueError(f"variable count must be non-negative, got {d}")
     if k > d:
         return SparsePoly.zero(d)
     terms = {}
@@ -604,6 +602,8 @@ def partitions_in_box(rows, cols):
     starting with the empty partition; there are binomial(rows+cols, rows)
     of them.
     """
+    if rows < 0 or cols < 0:
+        raise ValueError(f"box sides must be non-negative, got {rows} x {cols}")
     out = []
 
     def gen(prefix):
@@ -704,12 +704,9 @@ def to_elementary(f):
     return SparsePoly._make(d, result)
 
 
-def from_elementary(g, d=None):
+def from_elementary(g):
     """Evaluate a polynomial in e-variables at the elementary symmetric polynomials."""
-    if d is None:
-        d = g.nvars
-    if g.nvars != d:
-        raise ValueError(f"polynomial has {g.nvars} variables, expected {d}")
+    d = g.nvars
     return g.evaluate([elementary_symmetric(i + 1, d) for i in range(d)])
 
 
@@ -772,7 +769,7 @@ def poly_from_text(s, nvars=None):
         match = _TERM_RE.match(piece)
         if not match:
             raise ValueError(f"cannot parse polynomial term {piece!r}")
-        coef = rational_from_string(match.group("coef")) * current_sign
+        coef = QQ(match.group("coef")) * current_sign
         factors = {}
         for fmatch in _FACTOR_RE.finditer(match.group("factors")):
             letter, index, power = fmatch.group(1), int(fmatch.group(2)), fmatch.group(3)
@@ -814,5 +811,5 @@ def poly_from_json(obj):
     terms = {}
     for term in obj["terms"]:
         exp = tuple(term["exp"])
-        terms[exp] = terms.get(exp, _ZERO) + rational_from_string(term["coef"])
+        terms[exp] = terms.get(exp, _ZERO) + QQ(term["coef"])
     return SparsePoly._make(nvars, terms), obj.get("basis", "x")

@@ -119,11 +119,16 @@ def verify_chern_basis(m, d, gb=None):
     return _linearly_independent([normal_form(p, gb) for p in monomials])
 
 
+def top_degree(m, d):
+    """Highest degree the Hilbert function is read in: the ambient dimension, at least 0."""
+    return max(ambient_dimension(m, d, 1), 0)
+
+
 def verify_poincare_match(m, d, gb=None):
     """Hilbert function of the quotient against the forest codimension census."""
     if gb is None:
         gb = kernel_ideal(m, d)
-    max_deg = max(ambient_dimension(m, d, 1), 0)
+    max_deg = top_degree(m, d)
     hilbert = gb.hilbert_function(max_deg)
     census = poincare_polynomial(m, d, 1, by="codim")
     census = census + [0] * (max_deg + 1 - len(census))
@@ -138,11 +143,14 @@ def local_multiplicity(polys, trials=5, seed=0, local_vars=2):
     every leading coefficient nonzero.  Each trial computes the dimension
     of the specialized quotient.  The result is the minimum over the
     trials, which by semicontinuity is an upper bound on the generic value;
-    it is probabilistic, not a proof.  Raises ValueError when trials < 1 and
-    RuntimeError when fewer than `trials` specializations were usable.
+    it is probabilistic, not a proof.  Raises ValueError when trials < 1 or
+    local_vars < 0, and RuntimeError when fewer than `trials` specializations
+    were usable.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if local_vars < 0:
+        raise ValueError(f"local_vars must be >= 0, got {local_vars}")
     if not polys:
         raise ValueError("need at least one polynomial")
     nvars = polys[0].nvars
@@ -253,8 +261,7 @@ def presentation_report(m, d, minimal=False):
     """Run the whole presentation pipeline for one (m, d) with n = 1."""
     gens = kernel_ideal_generators(d, m)
     gb = buchberger(gens, e_weights(d))
-    max_deg = max(ambient_dimension(m, d, 1), 0)
-    hilbert = tuple(gb.hilbert_function(max_deg))
+    hilbert = tuple(gb.hilbert_function(top_degree(m, d)))
     standard = tuple(gb.standard_monomials()) if gb.is_finite_dimensional() else ()
     verdicts = {
         "chern_basis": verify_chern_basis(m, d, gb),

@@ -10,7 +10,7 @@ the one in use.
 
 from fractions import Fraction
 
-__all__ = ["QQ", "BACKEND", "rational_from_string"]
+__all__ = ["QQ", "BACKEND"]
 
 try:
     from gmpy2 import mpq as QQ
@@ -19,8 +19,3 @@ try:
 except ImportError:
     QQ = Fraction
     BACKEND = "fraction"
-
-
-def rational_from_string(s: str):
-    """Parse 'p' or 'p/q' into an exact rational."""
-    return QQ(s)

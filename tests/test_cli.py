@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nchilb.cli import main
+from nchilb.cli import build_parser, main
 from nchilb.coha import CohaElement
 from nchilb.forests import forest_from_json
 from nchilb.polynomial import poly_from_json
@@ -137,6 +137,69 @@ def test_validation_error_shows_subcommand_usage(capsys, argv, usage):
         main(argv)
     assert excinfo.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: {usage} ")
+
+
+# Every bounded integer option: (subcommand path, valid arguments, flag, least value).
+# The arguments stay valid when the flag is set to its least value.
+FORESTS = ["--m", "2", "--d", "2", "--n", "1"]
+MUL = ["--m", "2", "--left", "1", "--left-arity", "1", "--right", "1", "--right-arity", "1"]
+CHOW = ["--m", "2", "--d", "2"]
+MULTIPLICITY = ["--vars", "2", "--poly", "1*x1^2", "--poly", "1*x2", "--local", "2",
+                "--trials", "1"]
+BOUNDS = [
+    *((["forests", sub], FORESTS, flag, low)
+      for sub in ("enum", "count", "poincare", "bijection")
+      for flag, low in (("--m", 0), ("--d", 0), ("--n", 1))),
+    *((["coha", "mul"], MUL, flag, 0) for flag in ("--m", "--left-arity", "--right-arity")),
+    (["coha", "psi"], ["--k", "1"], "--k", 0),
+    (["coha", "psi-product"], ["--m", "2", "--ks", "0,1"], "--m", 0),
+    (["coha", "forbidden"], ["--m", "2", "--d", "2", "--p", "0"], "--m", 0),
+    (["coha", "relations"], ["--m", "2", "--d", "2"], "--m", 0),
+    (["coha", "relations"], ["--m", "2", "--d", "2"], "--d", 1),
+    *((["chow", sub], CHOW, flag, low)
+      for sub in ("presentation", "hilbert", "verify")
+      for flag, low in (("--m", 0), ("--d", 1))),
+    (["chow", "hilbert"], CHOW + ["--max-deg", "3"], "--max-deg", 0),
+    (["chow", "multiplicity"], MULTIPLICITY, "--local", 0),
+    (["chow", "multiplicity"], MULTIPLICITY, "--trials", 1),
+    (["paper-example"], ["--trials", "1"], "--trials", 1),
+]
+
+
+def _with_value(path, args, flag, value):
+    args = list(args)
+    args[args.index(flag) + 1] = str(value)
+    return path + args
+
+
+@pytest.mark.parametrize(
+    "path,args,flag,low", BOUNDS, ids=[f"{' '.join(b[0])} {b[2]}" for b in BOUNDS]
+)
+def test_every_bounded_option_refuses_below_its_least_value(capsys, path, args, flag, low):
+    with pytest.raises(SystemExit) as excinfo:
+        main(_with_value(path, args, flag, low - 1))
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: nchilb {' '.join(path)} ")
+    assert f"{flag} must be >= {low}" in err
+    assert main(_with_value(path, args, flag, low)) in (0, 1)
+    assert "must be >=" not in capsys.readouterr().err
+
+
+def test_bounds_table_lists_every_declared_bound():
+    table = {}
+    for path, args, flag, low in BOUNDS:
+        table.setdefault(tuple(path), (args, set()))[1].add((flag, low))
+    for path, (args, rows) in table.items():
+        declared = build_parser().parse_args(list(path) + args).bounds
+        assert {(flag, low) for flag, _, low in declared} == rows
+
+
+def test_multiplicity_with_no_local_variables_is_0(capsys):
+    argv = ["chow", "multiplicity", "--vars", "2", "--poly", "1*x1^2", "--poly", "1*x2"]
+    code, out, _ = run(capsys, *argv, "--local", "0")
+    assert code == 0
+    assert out.strip() == "0"
 
 
 def test_chow_verify(capsys):

@@ -95,6 +95,8 @@ def test_elementary_symmetric_examples():
     assert elementary_symmetric(5, 4).is_zero()
     with pytest.raises(ValueError):
         elementary_symmetric(-1, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        elementary_symmetric(0, -1)
 
 
 def test_monomial_symmetric_examples():
@@ -135,6 +137,10 @@ def test_partitions_in_box():
     assert partitions_in_box(2, 1) == [(), (1,), (1, 1)]
     assert len(partitions_in_box(3, 4)) == 35  # binomial(7, 3)
     assert is_partition((3, 1, 0)) and not is_partition((1, 2))
+    assert partitions_in_box(0, 2) == partitions_in_box(2, 0) == [()]
+    for rows, cols in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            partitions_in_box(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +254,7 @@ def test_to_elementary_round_trip_randomized():
         if f.degree() > 6:
             continue
         g = to_elementary(f)
-        assert from_elementary(g, d) == f
+        assert from_elementary(g) == f
         # weighted degree in e-coordinates equals the x-degree
         if not f.is_zero():
             assert g.weighted_degree(tuple(range(1, d + 1))) == f.degree()

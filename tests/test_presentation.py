@@ -160,6 +160,13 @@ def test_local_multiplicity_needs_a_trial():
             local_multiplicity([y, z], trials=trials)
 
 
+def test_local_multiplicity_local_vars_below_zero_raises():
+    y, z = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    with pytest.raises(ValueError, match="local_vars must be >= 0"):
+        local_multiplicity([y**2, z], local_vars=-1)
+    assert local_multiplicity([y**2, z], local_vars=0) == 0
+
+
 # ---------------------------------------------------------------------------
 # reports
 
