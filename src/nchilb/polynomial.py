@@ -202,7 +202,9 @@ class SparsePoly:
         return max(sum(e) for e in self.terms)
 
     def weighted_degree(self, weights):
-        """Max weighted degree; -1 for the zero polynomial."""
+        """Max weighted degree; -1 for the zero polynomial.  One weight per variable."""
+        if len(weights) != self.nvars:
+            raise ValueError(f"need {self.nvars} weights, one per variable, got {len(weights)}")
         if not self.terms:
             return -1
         return max(sum(w * a for w, a in zip(weights, e)) for e in self.terms)

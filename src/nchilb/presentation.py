@@ -74,32 +74,37 @@ def chern_monomial(b, d):
     return SparsePoly.monomial(d, exp)
 
 
+def _add_pivot(pivots, poly):
+    """Reduce poly against the pivots, keyed by leading exponent; True when it leaves a new one.
+
+    A nonzero remainder joins the pivots, scaled to leading coefficient 1.
+    False means poly lies in the span of the polynomials behind the pivots.
+    """
+    row = dict(poly.terms)
+    while row:
+        lead = max(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = {exp: coef / row[lead] for exp, coef in row.items()}
+            return True
+        factor = row[lead]
+        for exp, coef in pivot.items():
+            value = row.get(exp, QQ(0)) - factor * coef
+            if value:
+                row[exp] = value
+            else:
+                del row[exp]
+    return False
+
+
 def _linearly_independent(polys):
     """Exact check that the polynomials are linearly independent over the rationals.
 
-    Each one is reduced against the pivots kept so far, keyed by leading
-    exponent; it either leaves a new pivot or reduces to zero, and the
-    first zero means a dependence.
+    Each one is reduced against the pivots of the ones before it; the first
+    that reduces to zero is a dependence.
     """
     pivots = {}
-    for p in polys:
-        row = dict(p.terms)
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = {exp: coef / row[lead] for exp, coef in row.items()}
-                break
-            factor = row[lead]
-            for exp, coef in pivot.items():
-                value = row.get(exp, QQ(0)) - factor * coef
-                if value:
-                    row[exp] = value
-                else:
-                    del row[exp]
-        else:
-            return False
-    return True
+    return all(_add_pivot(pivots, p) for p in polys)
 
 
 def verify_chern_basis(m, d, gb=None):
@@ -204,24 +209,62 @@ def _specialize(poly, local_vars, powers):
 
 
 def minimal_generator_subset(gens, weights):
-    """Greedy inclusion-minimal subset generating the same ideal.
+    """Greedy inclusion-minimal subset of weighted-homogeneous generators.
 
-    One pass in order drops each generator that the remaining ones still
-    generate; minimal only in the inclusion sense.  A kept generator g is
-    outside the ideal of the others, and the others only shrink later, so
-    g stays needed: no earlier generator has to be tried again, and the
-    pass drops the same generators, in the same order, as restarting from
-    the first one after every drop would.
+    The greedy goes through the generators in input order and drops each
+    one that the others still present generate; the result keeps input
+    order and is minimal in the inclusion sense only.  Zero generators lie
+    in every ideal and are always dropped.  Raises ValueError unless the
+    weights are positive, one per variable, the generators agree on the
+    variable count and each is weighted-homogeneous.
+
+    The greedy needs one basis per generator degree, not one per generator.
+    Let J_k be the ideal of the generators of degree < k.  A generator that
+    the greedy drops lies in the ideal of the others, and by homogeneity in
+    the ideal of those of no larger degree, so no drop changes any J_k: the
+    kept generators of degree < k generate it too.  A degree-k generator g
+    lies in the ideal of the others exactly when its normal form modulo J_k
+    lies in the span of the normal forms of the other degree-k generators
+    still present.  Within one degree that is the greedy on vectors v_1..v_r
+    in input order, which keeps v_j exactly when v_j is outside the span of
+    v_{j+1}..v_r (by induction on j: the vectors kept before v_j are
+    independent modulo the span of v_j..v_r).  So each degree block, in
+    increasing degree, is reduced in reverse input order against the
+    pivots of the later ones, modulo a basis of the kept generators of
+    lower degree, rebuilt only when that list has grown; a nonzero
+    remainder keeps the generator.
     """
-    current = list(gens)
-    i = 0
-    while i < len(current):
-        rest = current[:i] + current[i + 1 :]
-        if rest and buchberger(rest, weights).contains(current[i]):
-            current = rest
-        else:
-            i += 1
-    return current
+    gens = list(gens)
+    if not gens:
+        return []
+    weights = tuple(weights)
+    nvars = gens[0].nvars
+    if len(weights) != nvars or any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive, one per variable")
+    blocks = {}  # weighted degree -> input indices, in input order
+    for i, g in enumerate(gens):
+        if g.nvars != nvars:
+            raise ValueError("generators disagree on variable count")
+        degrees = {sum(w * a for w, a in zip(weights, exp)) for exp in g.terms}
+        if len(degrees) > 1:
+            raise ValueError(
+                f"generator {i} is not weighted-homogeneous for weights {weights}: "
+                f"{poly_to_text(g)}"
+            )
+        if degrees:
+            blocks.setdefault(degrees.pop(), []).append(i)
+    kept = []  # input indices
+    gb, basis_size = None, 0
+    for degree in sorted(blocks):
+        if len(kept) > basis_size:
+            basis_size = len(kept)
+            gb = buchberger([gens[i] for i in sorted(kept)], weights)
+        pivots = {}
+        for i in reversed(blocks[degree]):
+            remainder = gens[i] if gb is None else normal_form(gens[i], gb)
+            if _add_pivot(pivots, remainder):
+                kept.append(i)
+    return [gens[i] for i in sorted(kept)]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ multiplicity against the loop that screens draws by leading coefficients; the
 packed-monomial Buchberger, normal forms, order and divisibility against the
 tuple-exponent oracle, and the kernel ideals against sympy's bases; the
 order-ideal walk of a basis against exhaustive box and cone walks; the
-one-pass minimal generator subset against the restart loop; the sparse rank
+minimal generator subset, one basis per degree, against the restart loop on
+kernel and planted weighted-homogeneous generators; the sparse rank
 check against sympy; and the bisected j-indices against element counts."""
 
 import contextlib
@@ -535,20 +536,85 @@ def test_minimal_subset_equals_restart_loop_in_any_order(md, data):
     assert subset == oracle_minimal_generator_subset(gens, e_weights(d))
 
 
+def _is_sublist(short, long):
+    rest = iter(long)
+    return all(any(g == h for h in rest) for g in short)
+
+
 @pytest.mark.parametrize("m,d", SUBSET_GRID)
-def test_minimal_subset_runs_one_basis_per_generator(monkeypatch, m, d):
+def test_minimal_subset_runs_one_basis_per_degree(monkeypatch, m, d):
     gens = kernel_ideal_generators(d, m)
+    weights = e_weights(d)
     calls = []
     original = nchilb.presentation.buchberger
 
     def counted(polys, weights):
-        calls.append(len(polys))
+        calls.append(list(polys))
         return original(polys, weights)
 
     monkeypatch.setattr(nchilb.presentation, "buchberger", counted)
-    subset = minimal_generator_subset(gens, e_weights(d))
-    assert len(gens) >= 2 and len(subset) >= 2
-    assert len(calls) == len(gens)
+    subset = minimal_generator_subset(gens, weights)
+    degrees = {g.weighted_degree(weights) for g in gens}
+    assert len(calls) <= len(degrees) - 1
+    assert len(calls) < len(gens)
+    # each basis is built from kept generators only
+    assert all(_is_sublist(polys, subset) for polys in calls)
+
+
+def _monomials_of_degree(weights, degree):
+    ranges = [range(degree // w + 1) for w in weights]
+    return [
+        exp
+        for exp in itertools.product(*ranges)
+        if sum(w * a for w, a in zip(weights, exp)) == degree
+    ]
+
+
+@st.composite
+def homogeneous_generators(draw):
+    """Weights and weighted-homogeneous generators in 2-3 variables with planted redundancy.
+
+    Planted: a monomial multiple of an earlier generator, a rational
+    combination of generators of one degree, and a duplicate.
+    """
+    nvars = draw(st.integers(2, 3))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars)))
+    degrees = [k for k in range(1, 7) if _monomials_of_degree(weights, k)]
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        monomials = _monomials_of_degree(weights, draw(st.sampled_from(degrees)))
+        exps = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+        coefs = draw(st.lists(fractions, min_size=len(exps), max_size=len(exps)))
+        gens.append(SparsePoly(nvars, dict(zip(exps, coefs))))
+    for kind in draw(st.lists(st.sampled_from(["multiple", "combination", "duplicate"]), max_size=3)):
+        g = draw(st.sampled_from(gens))
+        if kind == "multiple":
+            shift = draw(st.tuples(*[st.integers(0, 1)] * nvars))
+            gens.append(SparsePoly.monomial(nvars, shift) * g)
+        elif kind == "combination":
+            same = [h for h in gens if h.weighted_degree(weights) == g.weighted_degree(weights)]
+            combination = draw(fractions) * g + draw(fractions) * draw(st.sampled_from(same))
+            if not combination.is_zero():
+                gens.append(combination)
+        else:
+            gens.append(g)
+    return weights, draw(st.permutations(gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_generators())
+def test_minimal_subset_of_planted_redundancy_equals_restart_loop(case):
+    weights, gens = case
+    subset = minimal_generator_subset(gens, weights)
+    assert subset == oracle_minimal_generator_subset(gens, weights)
+
+
+@pytest.mark.parametrize("m,d", [(m, d) for m in range(5) for d in range(1, 5)])
+def test_kernel_generators_are_weighted_homogeneous(m, d):
+    # minimal_generator_subset refuses generators that are not
+    weights = e_weights(d)
+    for g in kernel_ideal_generators(d, m):
+        assert len({sum(w * a for w, a in zip(weights, exp)) for exp in g.terms}) == 1
 
 
 @st.composite

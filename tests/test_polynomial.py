@@ -260,6 +260,16 @@ def test_to_elementary_round_trip_randomized():
             assert g.weighted_degree(tuple(range(1, d + 1))) == f.degree()
 
 
+def test_weighted_degree_needs_one_weight_per_variable():
+    f = SparsePoly(3, {(0, 0, 5): 1})
+    assert f.weighted_degree((1, 2, 3)) == 15
+    for weights in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="one per variable"):
+            f.weighted_degree(weights)
+    with pytest.raises(ValueError, match="one per variable"):
+        SparsePoly.zero(3).weighted_degree((1, 2))
+
+
 # ---------------------------------------------------------------------------
 # codecs
 

@@ -230,3 +230,32 @@ def test_minimal_generator_subset():
         rest = subset[:i] + subset[i + 1 :]
         if rest:
             assert not buchberger(rest, e_weights(3)).contains(subset[i])
+
+
+def test_minimal_generator_subset_drops_zeros_in_any_position():
+    g = e(1, 2) ** 2 + e(2, 2)
+    zero = SparsePoly.zero(2)
+    weights = e_weights(2)
+    assert minimal_generator_subset([g, zero], weights) == [g]
+    assert minimal_generator_subset([zero, g], weights) == [g]
+    assert minimal_generator_subset([zero, zero], weights) == []
+    assert minimal_generator_subset([], weights) == []
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, -5, 7), (1, 0), (0, 2), (-1, 2)])
+def test_minimal_generator_subset_rejects_bad_weights(weights):
+    with pytest.raises(ValueError, match="weights must be positive, one per variable"):
+        minimal_generator_subset([e(1, 2) ** 2 + e(2, 2)], weights)
+
+
+def test_minimal_generator_subset_names_the_first_inhomogeneous_generator():
+    gens = [e(2, 2), e(1, 2) + e(2, 2), e(1, 2) ** 3 + e(1, 2)]
+    with pytest.raises(ValueError, match="generator 1 is not weighted-homogeneous"):
+        minimal_generator_subset(gens, e_weights(2))
+    # homogeneous for other weights
+    assert minimal_generator_subset(gens[:2], (1, 1)) == gens[:2]
+
+
+def test_minimal_generator_subset_rejects_mixed_variable_counts():
+    with pytest.raises(ValueError, match="disagree on variable count"):
+        minimal_generator_subset([e(1, 2), e(1, 3)], e_weights(2))
