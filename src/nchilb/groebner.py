@@ -17,22 +17,30 @@ one mask.  A field holds exponents below 2^31.  Weights are at least 1, so
 no exponent exceeds its monomial's weighted degree, and every monomial the
 engine makes lies below an input monomial or a pair lcm in the order;
 packing those raises OverflowError for a weighted degree of 2^31 or more,
-and so does `hilbert_function` for such a max_deg.
+and so does `hilbert_function` for such a max_deg.  The lcm of two heads
+is a field-wise max on their packed exponents, with no tuple built.
 
-Division keeps the pending terms in a heap of keys, and the first head
-that divides a key is memoised per key.  Pairs are queued by the weighted
-degree of their lcm and thinned by the Gebauer-Moeller update when a
-polynomial joins the basis.
+Coefficients are integers inside the engine.  Inputs are cleared of
+denominators, every basis member is kept primitive with a positive head
+coefficient, and division is pseudo-division: the pending terms are
+scaled by as much of the head coefficient as the coefficient being
+reduced lacks, so no fraction is formed.  Division keeps the pending terms
+in a heap of keys, and the first head that divides a key is memoised per
+key.  Pairs are queued by the weighted degree of their lcm and thinned by
+the Gebauer-Moeller update when a polynomial joins the basis.
 
-Bases are reduced: monic, no head term divides another, every tail term
-irreducible.  For a fixed generator set and weight vector the output is
-deterministic, so reduced bases can be compared directly.
+Bases are made monic over the rationals on output, and are reduced: no
+head term divides another, every tail term irreducible.  For a fixed
+generator set and weight vector the output is deterministic, so reduced
+bases can be compared directly.
 """
 
 import heapq
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd, lcm
+from operator import lshift, mul
 
 from .polynomial import SparsePoly
 from .rationals import QQ
@@ -47,7 +55,6 @@ __all__ = [
 FIELD_BITS = 32
 _LIMIT = 1 << (FIELD_BITS - 1)  # exponents and weighted degrees stay below this
 _FIELD = (1 << FIELD_BITS) - 1
-_ONE = QQ(1)
 
 
 class _Order:
@@ -59,21 +66,51 @@ class _Order:
         self.weights = weights
         self.nvars = nvars
         self.top = 1 << (FIELD_BITS * nvars)
-        self.guard = sum(_LIMIT << (FIELD_BITS * i) for i in range(nvars))
+        self.shifts = tuple(FIELD_BITS * i for i in range(nvars))
+        self.guard = sum(_LIMIT << shift for shift in self.shifts)
+        self.ones = sum(1 << shift for shift in self.shifts)
         # the key of each variable
         self.units = tuple(w * self.top - (1 << (FIELD_BITS * i)) for i, w in enumerate(weights))
 
     def key(self, exp):
-        wdeg = packed = 0
-        for i, (w, a) in enumerate(zip(self.weights, exp)):
-            wdeg += w * a
-            packed += a << (FIELD_BITS * i)
+        wdeg = self._checked(sum(map(mul, self.weights, exp)))
+        return wdeg * self.top - sum(map(lshift, exp, self.shifts))
+
+    @staticmethod
+    def _checked(wdeg):
         if wdeg >= _LIMIT:
             raise OverflowError(
                 f"weighted degree {wdeg} is too large: packed monomials need "
                 f"weighted degree < 2**{FIELD_BITS - 1}"
             )
-        return wdeg * self.top - packed
+        return wdeg
+
+    def fields(self, key):
+        """The packed exponents of key and the packed weighted exponents w_i a_i, for `lcm`."""
+        exp = self.exp(key)
+        return -key % self.top, sum(map(lshift, map(mul, self.weights, exp), self.shifts))
+
+    def lcm(self, a, b):
+        """Key of the lcm of two monomials given by their `fields`.
+
+        Each field of either packing is below 2^31 (w_i a_i is at most the
+        weighted degree), so a field-wise max is a few masks, and w_i max(a_i,
+        b_i) = max(w_i a_i, w_i b_i).  The weighted degree, the sum of the
+        weighted fields, sits in the top field of their product with
+        1 + 2^32 + ..: every partial sum is at most the lcm's weighted degree
+        < 2^32, so no field carries.
+        """
+        guard = self.guard
+        packed, weighted = a
+        b_packed, b_weighted = b
+        ge = ((packed | guard) - b_packed) & guard  # guard bits where a's field >= b's
+        mask = ge - (ge >> (FIELD_BITS - 1))
+        packed = (packed & mask) | (b_packed & ~mask)
+        ge = ((weighted | guard) - b_weighted) & guard
+        mask = ge - (ge >> (FIELD_BITS - 1))
+        weighted = (weighted & mask) | (b_weighted & ~mask)
+        wdeg = (weighted * self.ones >> self.shifts[-1]) & _FIELD
+        return self._checked(wdeg) * self.top - packed
 
     def degree(self, key):
         # K = wdeg * top - P with 0 <= P < top
@@ -81,37 +118,45 @@ class _Order:
 
     def exp(self, key):
         packed = -key % self.top
-        return tuple((packed >> (FIELD_BITS * i)) & _FIELD for i in range(self.nvars))
+        return tuple((packed >> shift) & _FIELD for shift in self.shifts)
 
     def divides(self, small, big):
         return (small + self.guard - big) & self.guard == self.guard
 
-    def keyed(self, poly):
-        return {self.key(exp): coef for exp, coef in poly.terms.items()}
-
 
 class _Heads:
-    """Head keys and tails of a list of monic polynomials that only grows.
+    """Heads and primitive integer tails of a list of polynomials that only grows.
 
-    A tail is the list of (key - head key, coefficient) over the other
-    terms, so a multiple of the polynomial by the monomial with key s has
-    the terms s + delta.  `divisor` memoises, per key, the index of the
-    first head dividing it, or ~n when none of the first n heads does; a
-    miss is rechecked against the heads added since, so the memo stays
-    valid while the list grows.
+    Member i is coefs[i] * x^leads[i] + tail: the head coefficient is a
+    positive int and the tail a list of (key - head key, int) over the other
+    terms, with content 1 over all the coefficients.  A multiple of the
+    member by the monomial with key s has the terms s + delta.  `divisor`
+    memoises, per key, the index of the first head dividing it, or ~n when
+    none of the first n heads does; a miss is rechecked against the heads
+    added since, so the memo stays valid while the list grows.
     """
 
     def __init__(self, order):
         self.guard = order.guard
         self.leads = []
         self.guarded = []  # head key + guard bits
+        self.coefs = []
         self.tails = []
         self.memo = {}
 
-    def add(self, lead, tail):
+    def add(self, lead, coef, tail):
         self.leads.append(lead)
         self.guarded.append(lead + self.guard)
+        self.coefs.append(coef)
         self.tails.append(tail)
+
+    def add_primitive(self, terms):
+        """Add the primitive part, head coefficient positive, of [(key, int)] in descending order."""
+        lead, coef = terms[0]
+        content = gcd(*(c for _, c in terms))
+        if coef < 0:
+            content = -content
+        self.add(lead, coef // content, [(key - lead, c // content) for key, c in terms[1:]])
 
     def divisor(self, key):
         hit = self.memo.get(key, -1)
@@ -127,57 +172,120 @@ class _Heads:
 
 
 def _reduce(work, heads):
-    """Full normal form of {key: coefficient} against heads, in descending order.
+    """Pseudo-remainder of {key: int} against heads, in descending order, and its scale.
 
     The pending keys sit in a max-heap.  A reduction step only adds keys
     below the one popped, so a popped key never comes back and each key is
     pushed once; a pending coefficient may cancel to zero and is then
-    skipped when popped.  `work` is consumed.
+    skipped when popped.  A pending coefficient c meets head coefficient h
+    as in pseudo-division: with g = gcd(c, h) and a = h / g, the pending
+    terms and the scale are multiplied by a when a != 1, and (c / g) times
+    the tail is subtracted.  A remainder term keeps the scale it was emitted
+    at until the end, when each is lifted to the final scale once.  Returns
+    (remainder, scale), the remainder being congruent to scale times the
+    input modulo the heads' ideal.
     """
     heap = [-key for key in work]
     heapq.heapify(heap)
-    tails = heads.tails
-    remainder = []
+    pop, push = heapq.heappop, heapq.heappush
+    memo, divisor = heads.memo, heads.divisor
+    coefs, tails = heads.coefs, heads.tails
+    emitted = []  # (key, coefficient, scale when emitted)
+    scale = 1
     while heap:
-        key = -heapq.heappop(heap)
+        key = -pop(heap)
         coef = work.pop(key)
         if not coef:
             continue
-        i = heads.divisor(key)
-        if i is None:
-            remainder.append((key, coef))
-            continue
+        i = memo.get(key, -1)
+        if i < 0:
+            i = divisor(key)
+            if i is None:
+                emitted.append((key, coef, scale))
+                continue
+        h = coefs[i]
+        g = gcd(coef, h)
+        if g != h:
+            a = h // g
+            work = {k: c * a for k, c in work.items()}
+            scale *= a
+        q = coef // g
+        get = work.get
         for delta, c in tails[i]:
             target = key + delta
-            acc = work.get(target)
+            acc = get(target)
             if acc is None:
-                work[target] = -coef * c
-                heapq.heappush(heap, -target)
+                work[target] = -q * c
+                push(heap, -target)
             else:
-                work[target] = acc - coef * c
-    return remainder
+                work[target] = acc - q * c
+    return [(key, coef * (scale // at)) for key, coef, at in emitted], scale
 
 
-def _to_poly(terms, order):
-    return SparsePoly._make(order.nvars, {order.exp(key): coef for key, coef in terms})
+def _integral(poly, order):
+    """poly times the common denominator of its coefficients, as {key: int}, and that denominator."""
+    terms = poly.terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {order.key(exp): c.numerator * (den // c.denominator) for exp, c in terms.items()}, den
+
+
+def _to_poly(terms, den, order):
+    """The polynomial sum of c / den x^key over [(key, int)]."""
+    return SparsePoly._make(order.nvars, {order.exp(key): QQ(c, den) for key, c in terms})
 
 
 def normal_form(poly, gb):
     """Remainder of poly on division by the basis; zero iff poly is in the ideal."""
     if poly.nvars != gb.nvars:
         raise ValueError(f"polynomial has {poly.nvars} variables, basis has {gb.nvars}")
-    return _to_poly(_reduce(gb._order.keyed(poly), gb._heads), gb._order)
+    work, den = _integral(poly, gb._order)
+    remainder, scale = _reduce(work, gb._heads)
+    return _to_poly(remainder, den * scale, gb._order)
+
+
+def _new_pairs(new, lead, leads, guard):
+    """The pairs of the Gebauer-Moeller update to queue for a new head.
+
+    `new` lists (lcm key, member) over the active members in order, `lead`
+    is the new head key and `guard` the order's guard bits.  A pair whose
+    heads are coprime is never queued.  Another pair goes when another new
+    lcm strictly divides its own, when a later pair has an equal lcm, or
+    when a coprime pair has an equal lcm; the survivors are returned in the
+    order of `new`.
+
+    One pass over the distinct lcms in ascending key order: a divisor of an
+    lcm has no larger key, so each lcm is tested only against the smaller
+    ones that no other lcm strictly divides.
+    """
+    last = {}  # lcm -> index of its last pair, or None when a coprime pair has it
+    for k, (l, g) in enumerate(new):
+        if last.get(l, 0) is not None:
+            last[l] = None if l == leads[g] + lead else k
+    minimal = []  # guarded keys of the lcms no other lcm strictly divides
+    keep = []
+    for l in sorted(last):
+        if any((m - l) & guard == guard for m in minimal):
+            continue
+        minimal.append(l + guard)
+        if last[l] is not None:
+            keep.append(last[l])
+    return [new[k] for k in sorted(keep)]
 
 
 def buchberger(gens, weights):
     """Reduced basis of the ideal generated by gens, under the weighted order.
 
+    Coefficients are integers inside the engine: every member is kept
+    primitive, an S-polynomial is (h_j/g) tail_i - (h_i/g) tail_j with
+    g = gcd(h_i, h_j) for head coefficients h, and division is
+    pseudo-division.  The output basis is made monic over the rationals.
+
     Pairs are queued by the weighted degree of their lcm, first in first
-    out within a degree, so runs are reproducible.  The Gebauer-Moeller update thins them when a polynomial
-    joins: of its new pairs it keeps one per minimal lcm and none with
-    coprime heads, it drops the queued pairs that the new head shadows,
-    and it leaves older polynomials whose heads the new head divides out
-    of future pairs.
+    out within a degree, so runs are reproducible.  The Gebauer-Moeller
+    update thins them when a polynomial joins: of its new pairs it keeps
+    one per minimal lcm and none with coprime heads (`_new_pairs`), it
+    drops the queued pairs that the new head shadows, and it leaves older
+    polynomials whose heads the new head divides out of future pairs.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -186,57 +294,54 @@ def buchberger(gens, weights):
     if any(g.nvars != nvars for g in gens):
         raise ValueError("generators disagree on variable count")
     order = _Order(tuple(weights), nvars)
-    divides = order.divides
+    divides, guard = order.divides, order.guard
     heads = _Heads(order)
-    leads, tails = heads.leads, heads.tails
-    exps = []  # head exponents, for the lcms
+    leads, coefs, tails = heads.leads, heads.coefs, heads.tails
+    fields = []  # packed head exponents, for the lcms
     active = []  # members no later head divides
     queue = []  # (weighted degree of the lcm, serial number, i, j, lcm key)
     serial = itertools.count()
 
-    def lcm(i, j):
-        return order.key(tuple(map(max, exps[i], exps[j])))
+    def lcm_key(i, j):
+        return order.lcm(fields[i], fields[j])
 
     def add(terms):
-        lead, coef = terms[0]
-        inv = 1 / coef
-        heads.add(lead, [(key - lead, c * inv) for key, c in terms[1:]])
-        exps.append(order.exp(lead))
+        heads.add_primitive(terms)
+        lead = terms[0][0]
+        fields.append(order.fields(lead))
         h = len(leads) - 1
-        # A new pair goes when the lcm of another new pair divides its own
-        # (of equal lcms the last one stays), unless its heads are coprime;
-        # the coprime pairs kept then go too, their S-polynomials being zero.
-        new = [(lcm(g, h), g) for g in active]
-        kept = []
-        for k, (l, g) in enumerate(new):
-            if l == leads[g] + lead or not any(divides(m, l) for m, _ in new[k + 1 :] + kept):
-                kept.append((l, g))
+        new = [(lcm_key(g, h), g) for g in active]
+        with_h = {g: l for l, g in new}
         # A queued pair goes when the new head divides its lcm and both of
         # its lcms with the new head differ from it.
+        guarded = lead + guard
         queue[:] = [
             (deg, n, i, j, l)
             for deg, n, i, j, l in queue
-            if not divides(lead, l) or l == lcm(i, h) or l == lcm(j, h)
+            if (guarded - l) & guard != guard
+            or l == (with_h[i] if i in with_h else lcm_key(i, h))
+            or l == (with_h[j] if j in with_h else lcm_key(j, h))
         ]
         heapq.heapify(queue)
-        for l, g in kept:
-            if l != leads[g] + lead:
-                heapq.heappush(queue, (order.degree(l), next(serial), g, h, l))
+        for l, g in _new_pairs(new, lead, leads, guard):
+            heapq.heappush(queue, (order.degree(l), next(serial), g, h, l))
         active[:] = [g for g in active if not divides(lead, leads[g])] + [h]
 
-    for terms in sorted((order.keyed(g) for g in gens), key=max):
-        reduced = _reduce(terms, heads)
+    for terms, _ in sorted((_integral(g, order) for g in gens), key=lambda item: max(item[0])):
+        reduced, _ = _reduce(terms, heads)
         if reduced:
             add(reduced)
 
     while queue:
         _, _, i, j, l = heapq.heappop(queue)
-        s = {l + delta: c for delta, c in tails[i]}
+        g = gcd(coefs[i], coefs[j])
+        a, b = coefs[j] // g, coefs[i] // g
+        s = {l + delta: a * c for delta, c in tails[i]}
         for delta, c in tails[j]:
             target = l + delta
             acc = s.get(target)
-            s[target] = -c if acc is None else acc - c
-        reduced = _reduce(s, heads)
+            s[target] = -b * c if acc is None else acc - b * c
+        reduced, _ = _reduce(s, heads)
         if reduced:
             add(reduced)
 
@@ -246,11 +351,11 @@ def buchberger(gens, weights):
     # own head, which therefore never divides it.
     minimal = _Heads(order)
     for i in sorted(active, key=leads.__getitem__):
-        minimal.add(leads[i], tails[i])
+        minimal.add(leads[i], coefs[i], tails[i])
     polys = []
-    for lead, tail in zip(minimal.leads, minimal.tails):
-        rest = _reduce({lead + delta: c for delta, c in tail}, minimal)
-        polys.append(_to_poly([(lead, _ONE)] + rest, order))
+    for lead, coef, tail in zip(minimal.leads, minimal.coefs, minimal.tails):
+        rest, scale = _reduce({lead + delta: c for delta, c in tail}, minimal)
+        polys.append(_to_poly([(lead, coef * scale)] + rest, coef * scale, order))
     return GroebnerBasis(nvars, order.weights, tuple(polys))
 
 
@@ -270,10 +375,9 @@ class GroebnerBasis:
         heads = _Heads(order)
         leads = []
         for p in self.polys:
-            terms = order.keyed(p)
-            lead = max(terms)
-            heads.add(lead, [(key - lead, c) for key, c in terms.items() if key != lead])
-            leads.append(order.exp(lead))
+            terms, _ = _integral(p, order)
+            heads.add_primitive(sorted(terms.items(), reverse=True))
+            leads.append(order.exp(heads.leads[-1]))
         object.__setattr__(self, "_leads", tuple(leads))
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_heads", heads)

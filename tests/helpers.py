@@ -11,7 +11,9 @@ have slow x-space oracles here, computed term by term over all variables.
 The quotient queries of a basis have oracles that visit every monomial of
 a box or a weighted cone and test it against every head, and Buchberger
 and the normal form have the tuple-exponent oracle: orders, divisibility
-and products computed one exponent at a time.  The local multiplicity has
+and products computed one exponent at a time.  The new pairs of the
+Gebauer-Moeller update have the quadratic loop that tests every lcm
+against all later ones and the ones kept so far.  The local multiplicity has
 the loop that screens each draw by evaluating leading coefficients.
 """
 
@@ -555,6 +557,20 @@ def oracle_buchberger(gens, weights):
         reduced.append((leads[i], _oracle_monic(_oracle_reduce(basis[i], others, other_leads, weights), weights)))
     reduced.sort(key=lambda item: oracle_order_key(item[0], weights))
     return tuple(poly for _, poly in reduced)
+
+
+def oracle_new_pairs(new, lead, leads, divides):
+    """The new pairs to queue, by the quadratic thinning loop over (lcm key, member).
+
+    A pair goes when the lcm of a later pair, or of a pair kept so far,
+    divides its own, unless its heads are coprime; coprime pairs are kept
+    for that test and then dropped, their S-polynomials being zero.
+    """
+    kept = []
+    for k, (l, g) in enumerate(new):
+        if l == leads[g] + lead or not any(divides(m, l) for m, _ in new[k + 1 :] + kept):
+            kept.append((l, g))
+    return [(l, g) for l, g in kept if l != leads[g] + lead]
 
 
 def _oracle_eval_params(coef_terms, values):

@@ -1,6 +1,7 @@
 """Buchberger engine: reduced bases, normal forms, staircases, Hilbert data."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -134,6 +135,29 @@ def test_ideal_equality_check():
     assert not ideal_equals(a, c)
 
 
+def test_basis_from_non_monic_members():
+    x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    gb = GroebnerBasis(2, (1, 1), (2 * x + y,))
+    assert gb.contains(2 * x + y)
+    assert gb.contains(6 * x + 3 * y)
+    assert normal_form(x, gb) == Fraction(-1, 2) * y
+    rational = GroebnerBasis(2, (1, 1), (Fraction(2, 3) * x + Fraction(1, 5) * y,))
+    assert rational.contains(10 * x + 3 * y)
+    assert normal_form(x, rational) == Fraction(-3, 10) * y
+    assert normal_form(Fraction(1, 7) * x + y, rational) == Fraction(67, 70) * y
+
+
+def test_pseudo_division_with_and_without_scaling():
+    # head coefficient 6: 12 is a multiple (no scaling), 10 shares only 2 (scale by 3)
+    x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    gb = GroebnerBasis(2, (1, 1), (6 * x**2 + 5 * y**2, 10 * x * y + 3 * y**2))
+    assert normal_form(12 * x**2 + y, gb) == -10 * y**2 + y
+    assert normal_form(10 * x**2 + x + y, gb) == Fraction(-25, 3) * y**2 + x + y
+    # y^3 is emitted before 10x^2 scales the pending terms, and is lifted at the end
+    assert normal_form(y**3 + 10 * x**2, gb) == y**3 + Fraction(-25, 3) * y**2
+    assert normal_form(15 * x * y + 4 * x**2, gb) == Fraction(-9, 2) * y**2 - Fraction(10, 3) * y**2
+
+
 # ---------------------------------------------------------------------------
 # staircases and Hilbert data
 
@@ -201,11 +225,11 @@ def test_random_ideals_have_verified_bases():
 def test_head_lookup_rechecks_a_miss_after_the_heads_grow():
     order = _Order((1, 1), 2)
     heads = _Heads(order)
-    heads.add(order.key((2, 0)), [])
+    heads.add(order.key((2, 0)), 1, [])
     key = order.key((1, 1))
     assert heads.divisor(key) is None
-    heads.add(order.key((0, 1)), [])
-    heads.add(order.key((1, 0)), [])
+    heads.add(order.key((0, 1)), 1, [])
+    heads.add(order.key((1, 0)), 1, [])
     assert heads.divisor(key) == 1
     assert heads.divisor(order.key((3, 0))) == 0
     assert heads.divisor(order.key((0, 0))) is None

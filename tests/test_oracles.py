@@ -5,8 +5,10 @@ against closed-form identities; the partition-core shuffle product (m = 0..3)
 and its change of basis against the subset-sum and x-space descent oracles,
 and the presentation path without any x-space expansion; the local
 multiplicity against the loop that screens draws by leading coefficients; the
-packed-monomial Buchberger, normal forms, order and divisibility against the
-tuple-exponent oracle, and the kernel ideals against sympy's bases; the
+packed-monomial Buchberger, normal forms (also on planted head coefficients
+that force pseudo-division to scale), order, divisibility and pair lcms
+against the tuple-exponent oracle, the Gebauer-Moeller new-pair thinning
+against the quadratic loop, and the kernel ideals against sympy's bases; the
 order-ideal walk of a basis against exhaustive box and cone walks; the
 minimal generator subset, one basis per degree, against the restart loop on
 kernel and planted weighted-homogeneous generators; the sparse rank
@@ -22,14 +24,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nchilb.presentation
 from nchilb.cli import _worked_example_pair
 from nchilb.coha import CohaElement, coha_mul, kernel_generators
 from nchilb.forests import enumerate_forests, forest_to_jtuple
-from nchilb.groebner import GroebnerBasis, _Order, buchberger, normal_form
+from nchilb.groebner import GroebnerBasis, _new_pairs, _Order, buchberger, normal_form
 from nchilb.polynomial import (
     SparsePoly,
     SymmetricPoly,
@@ -59,6 +61,7 @@ from helpers import (
     oracle_buchberger,
     oracle_divides,
     oracle_minimal_generator_subset,
+    oracle_new_pairs,
     oracle_hilbert_function,
     oracle_is_finite_dimensional,
     oracle_is_symmetric,
@@ -393,6 +396,75 @@ def test_normal_form_equals_tuple_oracle(case, data):
         assert gb.contains(g)
 
 
+# head coefficients with pairwise partial gcds: reducing 10 by 6 scales by 3,
+# 15 by 6 by 2, 6 by 10 by 5; and each divides a multiple of itself
+PLANTED = st.sampled_from([6, 10, 15, -6, -10, -15, 30])
+
+
+@st.composite
+def planted_ideals(draw):
+    """Generators with rational coefficients whose leading ones are often 6, 10 or 15."""
+    n = draw(st.integers(1, 3))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        exps = draw(st.lists(exponents(n), min_size=1, max_size=3, unique=True))
+        coefs = draw(st.lists(PLANTED | fractions, min_size=len(exps), max_size=len(exps)))
+        gens.append(SparsePoly(n, dict(zip(exps, coefs))))
+    return gens, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_ideals(), st.data())
+def test_pseudo_division_equals_tuple_oracle(case, data):
+    gens, weights = case
+    with time_limit():
+        gb = buchberger(gens, weights)
+        assert gb.polys == oracle_buchberger(gens, weights)
+    for p in gb.polys:
+        assert all(type(c) is QQ for c in p.terms.values())
+        assert p.terms[max(p.terms, key=lambda exp: oracle_order_key(exp, weights))] == 1
+    n = gb.nvars
+    for _ in range(3):
+        exps = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6, unique=True))
+        coefs = data.draw(st.lists(PLANTED | fractions, min_size=len(exps), max_size=len(exps)))
+        f = SparsePoly(n, dict(zip(exps, coefs)))
+        for p in (f, f * gens[0] + f):
+            assert normal_form(p, gb) == oracle_normal_form(p, gb.polys, weights)
+
+
+@st.composite
+def head_sets(draw):
+    """Member heads, the active ones in some order, and a new head, as packed keys.
+
+    Exponents are small, so equal lcms are common, and so are coprime pairs
+    whose lcm equals that of a pair that is not coprime.
+    """
+    n = draw(st.integers(1, 3))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    order = _Order(weights, n)
+    vector = st.tuples(*[st.integers(0, 2)] * n)
+    leads = [order.key(exp) for exp in draw(st.lists(vector, min_size=1, max_size=9))]
+    active = draw(st.permutations(range(len(leads))))[: draw(st.integers(0, len(leads)))]
+    return order, leads, active, draw(vector)
+
+
+XY = _Order((1, 1), 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(head_sets())
+# y is coprime to the new head x and comes first; xy has the same lcm
+@example((XY, [XY.key((0, 1)), XY.key((1, 1))], [0, 1], (1, 0)))
+def test_new_pairs_equal_quadratic_thinning(case):
+    order, leads, active, exp = case
+    lead = order.key(exp)
+    fields = order.fields(lead)
+    new = [(order.lcm(order.fields(leads[g]), fields), g) for g in active]
+    expected = oracle_new_pairs(new, lead, leads, order.divides)
+    assert _new_pairs(new, lead, leads, order.guard) == expected
+
+
 @st.composite
 def exponent_pairs(draw):
     """Weights and two exponent vectors of weighted degree below 2^31, often at that edge.
@@ -443,6 +515,12 @@ def test_packed_order_and_divisibility_equal_tuple_oracle(case):
     product = tuple(x + y for x, y in zip(a, b))
     if wdeg(product) < LIMIT:
         assert order.key(product) == ka + kb
+    lcm = tuple(map(max, a, b))
+    if wdeg(lcm) < LIMIT:
+        assert order.lcm(order.fields(ka), order.fields(kb)) == order.key(lcm)
+    else:
+        with pytest.raises(OverflowError, match=str(wdeg(lcm))):
+            order.lcm(order.fields(ka), order.fields(kb))
 
 
 SYMPY_GRID = [(2, 3), (2, 4), (3, 3), (4, 3)]
