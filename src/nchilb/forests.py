@@ -60,16 +60,7 @@ def word_to_string(w):
 
 def compare_words(w1, w2):
     """-1, 0 or 1; prefixes come first, otherwise the first differing letter decides."""
-    p = 0
-    while p < len(w1) and p < len(w2) and w1[p] == w2[p]:
-        p += 1
-    if p == len(w1) and p == len(w2):
-        return 0
-    if p == len(w1):
-        return -1
-    if p == len(w2):
-        return 1
-    return -1 if w1[p] < w2[p] else 1
+    return (w1 > w2) - (w1 < w2)
 
 
 @dataclass(frozen=True)
@@ -273,47 +264,20 @@ def forest_to_jtuple(forest):
     return tuple(_j_indices(forest, critical_pairs(forest)))
 
 
-def _required_j_floor(nu, m, d, n):
-    # smallest value allowed at 1-based position nu of a J-tuple
-    floor = 0
-    for level in range(1, d + 1):
-        if (m - 1) * (level - 1) + n <= nu:
-            floor = max(floor, level)
-    return floor
-
-
 def is_valid_jtuple(values, m, d, n):
     values = tuple(values)
-    if len(values) != (m - 1) * d + n:
+    if len(values) != (m - 1) * d + n or any(not 0 <= v <= d for v in values):
         return False
-    if any(not 0 <= v <= d for v in values):
-        return False
-    if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
-        return False
-    return all(
-        v >= _required_j_floor(nu, m, d, n) for nu, v in enumerate(values, start=1)
-    )
+    return values == tuple(sorted(values)) and is_valid_btuple(jtuple_to_btuple(values, d), m, d, n)
 
 
 def enumerate_jtuples(m, d, n):
-    """All members of the J-tuple set, in lexicographic order."""
-    length = (m - 1) * d + n
-    if length < 0:
-        return []
-    floors = [_required_j_floor(nu, m, d, n) for nu in range(1, length + 1)]
-    out = []
+    """All members of the J-tuple set, in lexicographic order.
 
-    def gen(prefix):
-        pos = len(prefix)
-        if pos == length:
-            out.append(tuple(prefix))
-            return
-        low = max(floors[pos], prefix[-1] if prefix else 0)
-        for v in range(low, d + 1):
-            gen(prefix + [v])
-
-    gen([])
-    return out
+    They are the images of the B-tuples, and the bijection reverses the
+    lexicographic order.
+    """
+    return [btuple_to_jtuple(b, m, d, n) for b in reversed(enumerate_btuples(m, d, n))]
 
 
 def jtuple_to_btuple(values, d):

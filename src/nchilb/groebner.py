@@ -26,8 +26,9 @@ coefficient, and division is pseudo-division: the pending terms are
 scaled by as much of the head coefficient as the coefficient being
 reduced lacks, so no fraction is formed.  Division keeps the pending terms
 in a heap of keys, and the first head that divides a key is memoised per
-key.  Pairs are queued by the weighted degree of their lcm and thinned by
-the Gebauer-Moeller update when a polynomial joins the basis.
+key.  The inputs and the pairs go through one queue, by the weighted
+degree of an input's head or of a pair's lcm, and the Gebauer-Moeller
+update thins new pairs when a polynomial joins and queued ones when popped.
 
 Bases are made monic over the rationals on output, and are reduced: no
 head term divides another, every tail term irreducible.  For a fixed
@@ -280,12 +281,16 @@ def buchberger(gens, weights):
     g = gcd(h_i, h_j) for head coefficients h, and division is
     pseudo-division.  The output basis is made monic over the rationals.
 
-    Pairs are queued by the weighted degree of their lcm, first in first
-    out within a degree, so runs are reproducible.  The Gebauer-Moeller
-    update thins them when a polynomial joins: of its new pairs it keeps
-    one per minimal lcm and none with coprime heads (`_new_pairs`), it
-    drops the queued pairs that the new head shadows, and it leaves older
-    polynomials whose heads the new head divides out of future pairs.
+    One loop pops inputs and pairs from one queue, by the weighted degree
+    of an input's head or of a pair's lcm, first in first out within a
+    degree, so runs are reproducible; the inputs are queued first, by
+    ascending head key, so at equal degree they pop before every pair.  A
+    popped input or S-polynomial is reduced and joins when nonzero.  The
+    Gebauer-Moeller update thins the pairs: of a new member's pairs it
+    keeps one per minimal lcm and none with coprime heads (`_new_pairs`),
+    it leaves older members whose heads the new head divides out of future
+    pairs, and a popped pair is dropped when a member that joined after it
+    was queued shadows it.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -296,54 +301,48 @@ def buchberger(gens, weights):
     order = _Order(tuple(weights), nvars)
     divides, guard = order.divides, order.guard
     heads = _Heads(order)
-    leads, coefs, tails = heads.leads, heads.coefs, heads.tails
+    leads, guarded, coefs, tails = heads.leads, heads.guarded, heads.coefs, heads.tails
     fields = []  # packed head exponents, for the lcms
     active = []  # members no later head divides
-    queue = []  # (weighted degree of the lcm, serial number, i, j, lcm key)
     serial = itertools.count()
+    # (weighted degree, serial number, input terms or None, pair (i, j, lcm key) or None);
+    # the inputs come first by ascending head key, a sorted list being a heap
+    queue = [
+        (order.degree(max(terms)), next(serial), terms, None)
+        for terms, _ in sorted((_integral(g, order) for g in gens), key=lambda item: max(item[0]))
+    ]
 
     def lcm_key(i, j):
         return order.lcm(fields[i], fields[j])
 
-    def add(terms):
-        heads.add_primitive(terms)
-        lead = terms[0][0]
+    while queue:
+        _, _, work, pair = heapq.heappop(queue)
+        if pair:
+            i, j, l = pair
+            # A member k that joined after the pair was queued shadows it
+            # when its head divides l and both of its lcms with i and j differ from l.
+            if any(
+                (guarded[k] - l) & guard == guard and lcm_key(i, k) != l != lcm_key(j, k)
+                for k in range(j + 1, len(leads))
+            ):
+                continue
+            g = gcd(coefs[i], coefs[j])
+            a, b = coefs[j] // g, coefs[i] // g
+            work = {l + delta: a * c for delta, c in tails[i]}
+            for delta, c in tails[j]:
+                target = l + delta
+                acc = work.get(target)
+                work[target] = -b * c if acc is None else acc - b * c
+        reduced, _ = _reduce(work, heads)
+        if not reduced:
+            continue
+        heads.add_primitive(reduced)
+        lead = reduced[0][0]
         fields.append(order.fields(lead))
         h = len(leads) - 1
-        new = [(lcm_key(g, h), g) for g in active]
-        with_h = {g: l for l, g in new}
-        # A queued pair goes when the new head divides its lcm and both of
-        # its lcms with the new head differ from it.
-        guarded = lead + guard
-        queue[:] = [
-            (deg, n, i, j, l)
-            for deg, n, i, j, l in queue
-            if (guarded - l) & guard != guard
-            or l == (with_h[i] if i in with_h else lcm_key(i, h))
-            or l == (with_h[j] if j in with_h else lcm_key(j, h))
-        ]
-        heapq.heapify(queue)
-        for l, g in _new_pairs(new, lead, leads, guard):
-            heapq.heappush(queue, (order.degree(l), next(serial), g, h, l))
-        active[:] = [g for g in active if not divides(lead, leads[g])] + [h]
-
-    for terms, _ in sorted((_integral(g, order) for g in gens), key=lambda item: max(item[0])):
-        reduced, _ = _reduce(terms, heads)
-        if reduced:
-            add(reduced)
-
-    while queue:
-        _, _, i, j, l = heapq.heappop(queue)
-        g = gcd(coefs[i], coefs[j])
-        a, b = coefs[j] // g, coefs[i] // g
-        s = {l + delta: a * c for delta, c in tails[i]}
-        for delta, c in tails[j]:
-            target = l + delta
-            acc = s.get(target)
-            s[target] = -b * c if acc is None else acc - b * c
-        reduced, _ = _reduce(s, heads)
-        if reduced:
-            add(reduced)
+        for l, g in _new_pairs([(lcm_key(g, h), g) for g in active], lead, leads, guard):
+            heapq.heappush(queue, (order.degree(l), next(serial), None, (g, h, l)))
+        active = [g for g in active if not divides(lead, leads[g])] + [h]
 
     # No head divides a later one (each joins reduced), and a head that a
     # later one divides left `active`: the active members form a minimal
@@ -381,9 +380,6 @@ class GroebnerBasis:
         object.__setattr__(self, "_leads", tuple(leads))
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_heads", heads)
-
-    def normal_form(self, poly):
-        return normal_form(poly, self)
 
     def contains(self, poly):
         return normal_form(poly, self).is_zero()

@@ -9,18 +9,21 @@ generators.
 The symmetry check, the change to e-coordinates and the kernel generators
 have slow x-space oracles here, computed term by term over all variables.
 The quotient queries of a basis have oracles that visit every monomial of
-a box or a weighted cone and test it against every head, and Buchberger
-and the normal form have the tuple-exponent oracle: orders, divisibility
-and products computed one exponent at a time.  The new pairs of the
+a box or a weighted cone and test it against every head.  Buchberger and
+the normal form have the tuple-exponent oracle: orders, divisibility and
+products computed one exponent at a time; `time_limit` stops a run that a
+broken engine would never end.  The new pairs of the
 Gebauer-Moeller update have the quadratic loop that tests every lcm
 against all later ones and the ones kept so far.  The local multiplicity has
 the loop that screens each draw by evaluating leading coefficients.
 """
 
+import contextlib
 import heapq
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 from nchilb.polynomial import (
@@ -419,6 +422,27 @@ def oracle_minimal_generator_subset(gens, weights):
                 changed = True
                 break
     return current
+
+
+@contextlib.contextmanager
+def time_limit(seconds=10):
+    """Raise TimeoutError after `seconds` instead of hanging.
+
+    A wrong divisibility test, a stale head lookup or a weakened pair
+    criterion can keep Buchberger adding polynomials forever; a test that
+    runs it under a limit then fails instead of stalling the suite.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

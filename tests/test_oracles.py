@@ -8,18 +8,18 @@ multiplicity against the loop that screens draws by leading coefficients; the
 packed-monomial Buchberger, normal forms (also on planted head coefficients
 that force pseudo-division to scale), order, divisibility and pair lcms
 against the tuple-exponent oracle, the Gebauer-Moeller new-pair thinning
-against the quadratic loop, and the kernel ideals against sympy's bases; the
-order-ideal walk of a basis against exhaustive box and cone walks; the
-minimal generator subset, one basis per degree, against the restart loop on
-kernel and planted weighted-homogeneous generators; the sparse rank
-check against sympy; and the bisected j-indices against element counts."""
+against the quadratic loop, the pair work on the stored inputs and on
+seeded random ideals against pinned `_reduce` counts, and the kernel ideals
+against sympy's bases; the order-ideal walk of a basis against exhaustive
+box and cone walks; the minimal generator subset, one basis per degree,
+against the restart loop on kernel and planted weighted-homogeneous
+generators; the sparse rank check against sympy; and the bisected j-indices
+against element counts."""
 
-import contextlib
 import itertools
 import math
 import os
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -27,6 +27,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import nchilb.groebner
 import nchilb.presentation
 from nchilb.cli import _worked_example_pair
 from nchilb.coha import CohaElement, coha_mul, kernel_generators
@@ -39,6 +40,7 @@ from nchilb.polynomial import (
     from_elementary,
     is_symmetric,
     monomial_symmetric,
+    poly_from_text,
     poly_to_text,
     rho,
     rho_pq,
@@ -74,6 +76,8 @@ from helpers import (
     oracle_shuffle,
     oracle_standard_monomials,
     oracle_to_elementary,
+    random_poly,
+    time_limit,
 )
 
 INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs")
@@ -348,27 +352,6 @@ def ideals(draw):
     return gens, weights
 
 
-@contextlib.contextmanager
-def time_limit(seconds=10):
-    """Raise TimeoutError after `seconds` instead of hanging.
-
-    A wrong divisibility test or a stale head lookup can keep Buchberger
-    adding polynomials forever; a correct run of these examples takes
-    milliseconds.
-    """
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @settings(max_examples=150, deadline=None)
 @given(ideals())
 def test_buchberger_equals_tuple_oracle(case):
@@ -463,6 +446,50 @@ def test_new_pairs_equal_quadratic_thinning(case):
     new = [(order.lcm(order.fields(leads[g]), fields), g) for g in active]
     expected = oracle_new_pairs(new, lead, leads, order.divides)
     assert _new_pairs(new, lead, leads, order.guard) == expected
+
+
+def _reduce_calls(monkeypatch, gens, weights):
+    """The number of `_reduce` calls that `buchberger(gens, weights)` makes."""
+    calls = 0
+    original = nchilb.groebner._reduce
+
+    def counted(work, heads):
+        nonlocal calls
+        calls += 1
+        return original(work, heads)
+
+    monkeypatch.setattr(nchilb.groebner, "_reduce", counted)
+    with time_limit(60):
+        buchberger(gens, weights)
+    return calls
+
+
+# `_reduce` calls of `buchberger` on the stored e-generators: one per input,
+# one per pair that no criterion drops, one per member of the minimal basis.
+# A dropped or weakened criterion leaves the bases correct; only these
+# counts show it.
+REDUCE_CALLS = {(2, 6): 349, (3, 5): 295, (5, 4): 132, (3, 4): 59, (2, 5): 108, (4, 4): 91}
+
+
+@pytest.mark.parametrize("m,d", sorted(REDUCE_CALLS))
+def test_buchberger_pair_work_on_stored_inputs(monkeypatch, m, d):
+    with open(os.path.join(INPUTS, f"m{m}_d{d}.txt")) as fh:
+        gens = [poly_from_text(line, nvars=d) for line in fh.read().splitlines()]
+    assert _reduce_calls(monkeypatch, gens, e_weights(d)) == REDUCE_CALLS[m, d]
+
+
+def test_buchberger_pair_work_on_random_ideals(monkeypatch):
+    # On the stored inputs a popped pair is never shadowed by the member
+    # that joined right after it was queued, nor by the last one only; on
+    # these small non-homogeneous ideals it is, so the counts also pin the
+    # ends of the criterion's scan and both of its lcm conditions.
+    rng = random.Random(0)
+    counts = []
+    for _ in range(10):
+        weights = tuple(rng.randint(1, 2) for _ in range(3))
+        gens = [random_poly(rng, 3, max_deg=3, nterms=3, coef_bound=3) for _ in range(3)]
+        counts.append(_reduce_calls(monkeypatch, gens, weights))
+    assert counts == [24, 28, 75, 44, 18, 11, 75, 6, 23, 47]
 
 
 @st.composite

@@ -20,6 +20,8 @@ from nchilb.presentation import (
     verify_poincare_match,
 )
 
+from helpers import time_limit
+
 
 def e(k, d):
     return SparsePoly.variable(d, k - 1)
@@ -112,10 +114,12 @@ def test_poincare_match(m, d):
 
 def test_chow_verify_passes_at_the_m2_frontier(capsys):
     # (2, 7): 127 kernel generators; the quotient dimension is the
-    # Fuss-Catalan number binom(2 * 7, 7) / (7 + 1) = 429
-    assert main(["chow", "verify", "--m", "2", "--d", "7", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"chern_basis": True, "poincare_match": True}
-    assert kernel_ideal(2, 7).quotient_dimension() == 429
+    # Fuss-Catalan number binom(2 * 7, 7) / (7 + 1) = 429.  A correct run
+    # takes seconds; a broken Buchberger fails here instead of stalling.
+    with time_limit(120):
+        assert main(["chow", "verify", "--m", "2", "--d", "7", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"chern_basis": True, "poincare_match": True}
+        assert kernel_ideal(2, 7).quotient_dimension() == 429
 
 
 # ---------------------------------------------------------------------------
