@@ -395,7 +395,8 @@ def cmd_paper_example(args):
 
 
 # An option is (flag, least value or None, add_argument keywords); options
-# that several subcommands take are declared once here.
+# that several subcommands take are declared once here, and every command
+# takes FORMAT first.
 
 
 def _int(flag, low=None, **spec):
@@ -411,6 +412,7 @@ def _d(low):
     return _int("--d", low, required=True, help="dimension, the forests' total node count")
 
 
+FORMAT = _opt("--format", choices=("text", "json"), default="text", help="output format")
 M = _int("--m", 0, required=True, help="number of loops, the forests' alphabet size")
 FOREST_SHAPE = (M, _d(0), _int("--n", 1, default=1, help="number of roots"))
 SEED_TRIALS = (_int("--seed", default=0), _int("--trials", 1, default=5))
@@ -423,19 +425,15 @@ def build_parser():
         "non-commutative Hilbert schemes.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def group(name, summary):
         return sub.add_parser(name, help=summary).add_subparsers(dest="subcommand", required=True)
 
     def command(parent, name, func, *options, **kwargs):
-        p = parent.add_parser(name, parents=[common], **kwargs)
+        p = parent.add_parser(name, **kwargs)
         bounds = []
-        for flag, low, spec in options:
+        for flag, low, spec in (FORMAT, *options):
             dest = p.add_argument(flag, **spec).dest
             if low is not None:
                 bounds.append((flag, dest, low))

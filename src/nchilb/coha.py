@@ -36,6 +36,8 @@ from .polynomial import (
     is_partition,
     is_symmetric,
     partitions_in_box,
+    poly_from_json,
+    poly_to_json,
     rho,
     schur,
 )
@@ -100,14 +102,10 @@ class CohaElement:
         return f"CohaElement(d={self.d}, poly={self.poly!r})"
 
     def to_json(self):
-        from .polynomial import poly_to_json
-
         return {"d": self.d, "poly": poly_to_json(self.poly)}
 
     @classmethod
     def from_json(cls, obj):
-        from .polynomial import poly_from_json
-
         poly, _ = poly_from_json(obj["poly"])
         return cls(obj["d"], poly)
 
@@ -122,12 +120,8 @@ def _mul_int(a, b):
     return {e: c for e, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
 def _kernel_power(p, q, power):
-    """prod_{i<=p<j} (x_j - x_i)^power in p + q variables, integer coefficients.
-
-    Cached; callers must not modify the returned map.
-    """
+    """prod_{i<=p<j} (x_j - x_i)^power in p + q variables, integer coefficients."""
     d = p + q
     kernel = {(0,) * d: 1}
     for i in range(p):

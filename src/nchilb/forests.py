@@ -8,10 +8,15 @@ word; forests componentwise at the first differing tree).  Each forest
 determines its set of critical pairs, the index j of every critical pair,
 the cell-dimension statistic d(S) and its codimension, and the tuples that
 realize the forest-to-J-tuple-to-B-tuple bijections.
+
+Word order within one tree is preorder: a word, then the words below its
+child 1, then those below its child 2, and so on.  One stack walk in that
+order visits every child slot of a tree; the empty slots are the critical
+pairs, in pair order, each right after the j elements below it.  The same
+walk, driven by a J-tuple's element/critical flags, parses it back.
 """
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -151,8 +156,8 @@ def enumerate_trees(m, size):
             words = [()]
             for letter, subtree in enumerate(combo, start=1):
                 words.extend((letter,) + w for w in subtree)
-            shapes.append(tuple(sorted(words)))
-    return tuple(sorted(set(shapes)))
+            shapes.append(tuple(words))
+    return tuple(sorted(shapes))
 
 
 def _compositions(total, parts):
@@ -178,6 +183,32 @@ def enumerate_forests(m, d, n):
     return forests
 
 
+def _preorder(m, is_node):
+    """The child slots of one tree in preorder, as (word, is_node(word)) pairs.
+
+    The walk starts at the root slot; a node pushes its m child slots as
+    letters m..1, so that they pop in word order.  An empty slot is a leaf.
+    """
+    stack = [()]
+    while stack:
+        word = stack.pop()
+        node = is_node(word)
+        yield word, node
+        if node:
+            stack.extend(word + (letter,) for letter in range(m, 0, -1))
+
+
+def _critical_walk(forest):
+    """(critical pair, j) in pair order, where j counts the nodes walked before the pair."""
+    j = 0
+    for k, tree in enumerate(forest.trees, start=1):
+        for word, node in _preorder(forest.m, set(tree.words).__contains__):
+            if node:
+                j += 1
+            else:
+                yield CriticalPair(k, word), j
+
+
 def critical_pairs(forest):
     """The critical pairs of the forest, sorted by root index then word order.
 
@@ -185,38 +216,16 @@ def critical_pairs(forest):
     or when w extends a stored word of tree k by one letter without being
     stored itself.  There are exactly (m-1)d + n of them.
     """
-    m = forest.m
-    result = []
-    for k, tree in enumerate(forest.trees, start=1):
-        if len(tree) == 0:
-            result.append(CriticalPair(k, ()))
-            continue
-        stored = set(tree.words)
-        for w in tree.words:
-            for letter in range(1, m + 1):
-                child = w + (letter,)
-                if child not in stored:
-                    result.append(CriticalPair(k, child))
-    result.sort(key=lambda pair: (pair.root, pair.word))
-    return result
-
-
-def _j_indices(forest, pairs):
-    """j of each pair (k, w): the nodes of trees 1..k-1 plus the words of tree k below w.
-
-    The words of a tree are stored in word order, so the second count is a
-    bisection.
-    """
-    before = list(itertools.accumulate((len(t) for t in forest.trees), initial=0))
-    return [before[k - 1] + bisect_left(forest.trees[k - 1].words, w) for k, w in pairs]
+    return [pair for pair, _ in _critical_walk(forest)]
 
 
 def j_index(forest, pair):
     """Number of forest elements strictly below the critical pair in pair order."""
     pair = CriticalPair(*pair)
-    if pair not in critical_pairs(forest):
-        raise ValueError(f"{pair} is not critical for the forest")
-    return _j_indices(forest, [pair])[0]
+    for critical, j in _critical_walk(forest):
+        if critical == pair:
+            return j
+    raise ValueError(f"{pair} is not critical for the forest")
 
 
 def d_value(forest):
@@ -261,7 +270,7 @@ def forest_to_jtuple(forest):
 
     j never decreases along the pair order, so the tuple needs no sort.
     """
-    return tuple(_j_indices(forest, critical_pairs(forest)))
+    return tuple(j for _, j in _critical_walk(forest))
 
 
 def is_valid_jtuple(values, m, d, n):
@@ -336,39 +345,25 @@ def jtuple_to_forest(values, m, d, n):
 
     In the merged pair order on forest elements and critical pairs, the
     nu-th critical pair sits right after j_nu elements, so the tuple fixes
-    the element/critical flag sequence; parsing that sequence as n preorder
-    traversals (an element owns m child slots, a critical pair is a leaf)
-    rebuilds the word sets.
+    the element/critical flag sequence; the preorder walk of n trees, which
+    reads one flag per slot, rebuilds the word sets.
     """
     values = tuple(values)
     if not is_valid_jtuple(values, m, d, n):
         raise ValueError(f"{values} is not a valid J-tuple for (m,d,n)=({m},{d},{n})")
-    length = len(values)
-    merged = d + length
-    is_critical = [False] * merged
+    is_critical = [False] * (d + len(values))
     for nu, j in enumerate(values):
         is_critical[j + nu] = True
+    flags = iter(is_critical)
 
-    pos = 0
-
-    def parse(prefix, words):
-        nonlocal pos
-        if pos >= merged:
+    def is_node(_word):
+        critical = next(flags, None)
+        if critical is None:
             raise ValueError("J-tuple does not parse to a forest")
-        critical = is_critical[pos]
-        pos += 1
-        if critical:
-            return
-        words.append(prefix)
-        for letter in range(1, m + 1):
-            parse(prefix + (letter,), words)
+        return not critical
 
-    trees = []
-    for _ in range(n):
-        words = []
-        parse((), words)
-        trees.append(Tree(tuple(words)))
-    if pos != merged:
+    trees = [Tree(tuple(w for w, node in _preorder(m, is_node) if node)) for _ in range(n)]
+    if next(flags, None) is not None:
         raise ValueError("J-tuple does not parse to a forest")
     forest = Forest(tuple(trees), m, n)
     if forest.d != d:

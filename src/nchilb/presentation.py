@@ -18,17 +18,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coha import kernel_generators
-from .forests import (
-    ambient_dimension,
-    enumerate_btuples,
-    enumerate_forests,
-    poincare_polynomial,
-)
+from .forests import ambient_dimension, enumerate_btuples, poincare_polynomial
 from .groebner import GroebnerBasis, buchberger, normal_form
 from .polynomial import (
     SparsePoly,
     is_symmetric,  # noqa: F401  (perfbench/tracer.py wraps nchilb.presentation.is_symmetric)
-    poly_to_json,
     poly_to_text,
     to_elementary,
 )

@@ -3,9 +3,10 @@
 Everything here is deliberately independent of the library internals it
 checks: counts come from closed forms, Schur polynomials from the dual
 Jacobi-Trudi determinant, rho from the bialternant (a signed sum over
-every permutation, then long division by the discriminant), j-indices and
-d-values from pair-by-pair counts, and random polynomials from seeded
-generators.
+every permutation, then long division by the discriminant), critical pairs
+from their definition (the one-letter extensions that a tree does not store,
+sorted), j-indices and d-values from pair-by-pair counts over those pairs,
+and random polynomials from seeded generators.
 The symmetry check, the change to e-coordinates and the kernel generators
 have slow x-space oracles here, computed term by term over all variables.
 The quotient queries of a basis have oracles that visit every monomial of
@@ -58,13 +59,30 @@ def forest_count_oracle(m, d, n):
     return counts[d]
 
 
+def oracle_critical_pairs(forest):
+    """(root, word) pairs by set difference: the root of an empty tree, and every
+    one-letter extension of a stored word that the tree does not store; sorted."""
+    result = []
+    for k, tree in enumerate(forest.trees, start=1):
+        if len(tree) == 0:
+            result.append((k, ()))
+            continue
+        stored = set(tree.words)
+        for w in tree.words:
+            for letter in range(1, forest.m + 1):
+                child = w + (letter,)
+                if child not in stored:
+                    result.append((k, child))
+    result.sort()
+    return result
+
+
 def d_value_oracle(forest):
     """Count the pairs (element, critical pair) with the element strictly below."""
-    from nchilb.forests import critical_pairs
-
+    critical = oracle_critical_pairs(forest)
     count = 0
     for k, w in forest.pairs():
-        for k2, w2 in critical_pairs(forest):
+        for k2, w2 in critical:
             if k < k2 or (k == k2 and w < w2):
                 count += 1
     return count
@@ -72,12 +90,10 @@ def d_value_oracle(forest):
 
 def jtuple_oracle(forest):
     """Sorted j-indices, each counted element by element over the whole forest."""
-    from nchilb.forests import critical_pairs
-
     return tuple(
         sorted(
             sum(1 for k, w in forest.pairs() if k < k2 or (k == k2 and w < w2))
-            for k2, w2 in critical_pairs(forest)
+            for k2, w2 in oracle_critical_pairs(forest)
         )
     )
 

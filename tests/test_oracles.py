@@ -13,8 +13,8 @@ seeded random ideals against pinned `_reduce` counts, and the kernel ideals
 against sympy's bases; the order-ideal walk of a basis against exhaustive
 box and cone walks; the minimal generator subset, one basis per degree,
 against the restart loop on kernel and planted weighted-homogeneous
-generators; the sparse rank check against sympy; and the bisected j-indices
-against element counts."""
+generators; the sparse rank check against sympy; and the critical pairs and
+j-indices of the preorder walk against set differences and element counts."""
 
 import itertools
 import math
@@ -31,7 +31,7 @@ import nchilb.groebner
 import nchilb.presentation
 from nchilb.cli import _worked_example_pair
 from nchilb.coha import CohaElement, coha_mul, kernel_generators
-from nchilb.forests import enumerate_forests, forest_to_jtuple
+from nchilb.forests import critical_pairs, enumerate_forests, forest_to_jtuple
 from nchilb.groebner import GroebnerBasis, _new_pairs, _Order, buchberger, normal_form
 from nchilb.polynomial import (
     SparsePoly,
@@ -61,6 +61,7 @@ from helpers import (
     conjugate_partition,
     jtuple_oracle,
     oracle_buchberger,
+    oracle_critical_pairs,
     oracle_divides,
     oracle_minimal_generator_subset,
     oracle_new_pairs,
@@ -778,7 +779,16 @@ def test_local_multiplicity_equals_screening_loop():
     assert sum(_rejected_draws(seed, 10) for seed in range(20)) > 0
 
 
-@pytest.mark.parametrize("m,d,n", [(m, d, n) for m in range(5) for d in range(6) for n in (1, 2)])
+FOREST_GRID = [(m, d, n) for m in range(5) for d in range(6) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("m,d,n", FOREST_GRID)
 def test_jtuples_equal_element_counts(m, d, n):
     for forest in enumerate_forests(m, d, n):
         assert forest_to_jtuple(forest) == jtuple_oracle(forest)
+
+
+@pytest.mark.parametrize("m,d,n", FOREST_GRID)
+def test_critical_pairs_equal_set_differences(m, d, n):
+    for forest in enumerate_forests(m, d, n):
+        assert critical_pairs(forest) == oracle_critical_pairs(forest)

@@ -313,14 +313,9 @@ def test_json_round_trip():
         assert obj["vars"] == 2
 
 
-def test_backend_is_gmpy2_when_importable():
-    import importlib.util
+def test_backend_is_fraction():
     from fractions import Fraction
 
     from nchilb.rationals import BACKEND, QQ
 
-    if importlib.util.find_spec("gmpy2") is None:
-        assert (BACKEND, QQ) == ("fraction", Fraction)
-    else:
-        assert BACKEND == "gmpy2"
-        assert QQ(1, 3) * 3 == 1
+    assert (BACKEND, QQ) == ("fraction", Fraction)

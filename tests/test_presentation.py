@@ -95,6 +95,15 @@ def test_chern_monomial_indexing():
     assert chern_monomial((0, 1, 0), 3) == e(2, 3)
 
 
+@pytest.mark.parametrize("m,d", [(m, d) for m in range(6) for d in range(1, 5)] + [(2, 5)])
+def test_chern_monomials_are_the_standard_monomials(m, d):
+    # stronger than the verdict: the B-tuple monomials are not only a basis of
+    # the quotient, they are exactly the monomials outside the head ideal
+    chern = [chern_monomial(b, d) for b in enumerate_btuples(m, d, 1)]
+    exponents = sorted(exp for poly in chern for exp in poly.terms)
+    assert exponents == sorted(kernel_ideal(m, d).standard_monomials())
+
+
 @pytest.mark.parametrize("m,d", [(1, 1), (1, 2), (1, 3), (1, 4)])
 def test_chern_basis_m1(m, d):
     assert verify_chern_basis(m, d)
