@@ -174,44 +174,42 @@ def _shuffle(base, p, q, m, denominator):
 def _orbit_sums(base, p, q, power):
     """base * prod_{i<=p<j} (x_j - x_i)^power summed over each S_d-orbit, keyed by sorted exponent.
 
-    Exponents are packed into one int, a field of one array item per
-    variable, wide enough that adding two packed ints adds the exponent
-    vectors; each distinct product is unpacked once, to be sorted.
+    Exponents are packed into one int, a 64-bit field per variable, so
+    adding two packed ints adds the exponent vectors; each distinct product
+    is unpacked once, to be sorted.
     """
     top = max((max(e, default=0) for e in base), default=0) + max(p, q) * power
-    fmt = next((f for f in "BHIQ" if top < 256 ** array(f).itemsize), None)
-    if fmt is None:
+    if top >> 64:
         raise OverflowError(f"exponent {top} does not fit a 64-bit field of the shuffle product")
-    size = (p + q) * array(fmt).itemsize
-    kernel = _kernel_representatives(p, q, power, fmt)
+    kernel = _kernel_representatives(p, q, power)
     products = {}
     get = products.get
     for exp, c1 in base.items():
-        k1 = _pack(exp, fmt)
+        k1 = _pack(exp)
         for k2, c2 in kernel:
             key = k1 + k2
             products[key] = get(key, 0) + c1 * c2
     totals = {}
     for key, coef in products.items():
         if coef:
-            fields = memoryview(key.to_bytes(size, sys.byteorder)).cast(fmt)
+            fields = memoryview(key.to_bytes(8 * (p + q), sys.byteorder)).cast("Q")
             mu = tuple(sorted(fields, reverse=True))
             totals[mu] = totals.get(mu, 0) + coef
     return totals
 
 
-def _pack(exp, fmt):
-    return int.from_bytes(array(fmt, exp).tobytes(), sys.byteorder)
+def _pack(exp):
+    return int.from_bytes(array("Q", exp).tobytes(), sys.byteorder)
 
 
 @lru_cache(maxsize=None)
-def _kernel_representatives(p, q, power, fmt):
+def _kernel_representatives(p, q, power):
     """The kernel power on its sorted-block exponents, weighted by S_p x S_q-orbit size.
 
     Returned as (packed exponent, coefficient) pairs.
     """
     return tuple(
-        (_pack(e, fmt), c * _orbit_size(e[:p]) * _orbit_size(e[p:]))
+        (_pack(e), c * _orbit_size(e[:p]) * _orbit_size(e[p:]))
         for e, c in _kernel_power(p, q, power).items()
         if is_partition(e[:p]) and is_partition(e[p:])
     )

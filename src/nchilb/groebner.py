@@ -25,10 +25,11 @@ denominators, every basis member is kept primitive with a positive head
 coefficient, and division is pseudo-division: the pending terms are
 scaled by as much of the head coefficient as the coefficient being
 reduced lacks, so no fraction is formed.  Division keeps the pending terms
-in a heap of keys, and the first head that divides a key is memoised per
-key.  The inputs and the pairs go through one queue, by the weighted
-degree of an input's head or of a pair's lcm, and the Gebauer-Moeller
-update thins new pairs when a polynomial joins and queued ones when popped.
+in a heap of keys.  The first head that divides a key is memoised per key,
+for division and the staircase walk alike.  The inputs and the pairs go
+through one queue, by the weighted degree of an input's head or of a
+pair's lcm, and the Gebauer-Moeller update thins new pairs when a
+polynomial joins and queued ones when popped.
 
 Bases are made monic over the rationals on output, and are reduced: no
 head term divides another, every tail term irreducible.  For a fixed
@@ -373,7 +374,11 @@ class GroebnerBasis:
         order = _Order(tuple(self.weights), self.nvars)
         heads = _Heads(order)
         leads = []
-        for p in self.polys:
+        for i, p in enumerate(self.polys):
+            if p.nvars != self.nvars:
+                raise ValueError(f"basis member {i} ({p}) has {p.nvars} variables, basis has {self.nvars}")
+            if p.is_zero():
+                raise ValueError(f"basis member {i} is zero")
             terms, _ = _integral(p, order)
             heads.add_primitive(sorted(terms.items(), reverse=True))
             leads.append(order.exp(heads.leads[-1]))
@@ -391,17 +396,18 @@ class GroebnerBasis:
         """The monomials outside the head ideal, as (key, weighted degree).
 
         Depth first from 1, raising one variable at or after the last one
-        raised, so each monomial is reached once.  A monomial in the head
-        ideal is not expanded: its multiples lie in the ideal too.  With
-        max_deg the walk stops at that weighted degree; without it the walk
-        ends only when the quotient is finite-dimensional.
+        raised, so each monomial is reached once.  A monomial that
+        `_Heads.divisor` puts in the head ideal is not expanded: its
+        multiples lie in the ideal too.  With max_deg the walk stops at that
+        weighted degree; without it the walk ends only when the quotient is
+        finite-dimensional.
         """
         weights, units, n = self.weights, self._order.units, self.nvars
-        guard, guarded = self._heads.guard, self._heads.guarded
+        divisor = self._heads.divisor
         stack = [(0, 0, 0)]  # key, weighted degree, first raisable variable
         while stack:
             key, deg, first = stack.pop()
-            if any((g - key) & guard == guard for g in guarded):
+            if divisor(key) is not None:
                 continue
             yield key, deg
             for i in range(first, n):

@@ -53,8 +53,7 @@ class SparsePoly:
 
     `terms` maps exponent tuples of length `nvars` to nonzero rationals, e.g.
     x1^2*x2 - 3/2 in two variables is SparsePoly(2, {(2, 1): 1, (0, 0): -3/2}).
-    Instances are value-like: never mutated after construction, hashable,
-    and safe to share between threads.
+    Instances are value-like: never mutated after construction, and hashable.
     """
 
     __slots__ = ("nvars", "terms")
@@ -218,6 +217,8 @@ class SparsePoly:
 
     def permute(self, sigma):
         """Apply x_i -> x_{sigma(i)} where sigma is a 0-based image tuple."""
+        if sorted(sigma) != list(range(self.nvars)):
+            raise ValueError(f"{tuple(sigma)} is not a permutation of 0..{self.nvars - 1}")
         terms = {}
         for exp, coef in self.terms.items():
             new = [0] * self.nvars

@@ -147,6 +147,14 @@ def test_basis_from_non_monic_members():
     assert normal_form(Fraction(1, 7) * x + y, rational) == Fraction(67, 70) * y
 
 
+def test_basis_rejects_members_it_cannot_represent():
+    # packed against two weights, x3 would drop to 1 and make the unit ideal
+    with pytest.raises(ValueError, match=r"basis member 0 \(1\*x3\) has 3 variables, basis has 2"):
+        GroebnerBasis(2, (1, 1), (SparsePoly.variable(3, 2),))
+    with pytest.raises(ValueError, match="basis member 1 is zero"):
+        GroebnerBasis(2, (1, 1), (SparsePoly.variable(2, 0), SparsePoly.zero(2)))
+
+
 def test_pseudo_division_with_and_without_scaling():
     # head coefficient 6: 12 is a multiple (no scaling), 10 shares only 2 (scale by 3)
     x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)

@@ -270,6 +270,16 @@ def test_weighted_degree_needs_one_weight_per_variable():
         SparsePoly.zero(3).weighted_degree((1, 2))
 
 
+def test_permute_needs_a_permutation():
+    f = poly_from_text("1*x1^2 + 3*x2")
+    assert f.permute((1, 0)) == poly_from_text("3*x1 + 1*x2^2")
+    assert f.permute([0, 1]) == f
+    for sigma in ((0, 0), (0,), (0, 2), (1, 2), (0, 1, 2)):
+        with pytest.raises(ValueError, match="not a permutation of 0..1"):
+            f.permute(sigma)
+    assert SparsePoly.const(0, 2).permute(()) == SparsePoly.const(0, 2)
+
+
 # ---------------------------------------------------------------------------
 # codecs
 

@@ -225,6 +225,22 @@ def test_presentation_report_walks_the_order_ideal_once(monkeypatch):
     assert calls == [None]
 
 
+@pytest.mark.parametrize("m, d", [(2, 5), (3, 4), (4, 4)])
+def test_staircase_walk_fills_the_head_lookup_memo(m, d):
+    # a fresh basis, so the cached one's memo from other tests plays no part
+    gb = kernel_ideal(m, d)
+    gb = GroebnerBasis(gb.nvars, gb.weights, gb.polys)
+    memo = gb._heads.memo
+    assert not memo
+    gb.quotient_dimension()
+    miss = ~len(gb.polys)
+    assert all(memo.get(gb._order.key(exp)) == miss for exp in gb.standard_monomials())
+    # each B-tuple monomial is standard here, its own normal form: a memo hit
+    keys = set(memo)
+    assert verify_chern_basis(m, d, gb)
+    assert set(memo) == keys
+
+
 def test_chern_basis_false_when_only_the_rank_fails():
     # e1^2 = e2 in the quotient, so the B-tuple monomials e1^2 and e2 coincide
     # although there are as many of them as the quotient dimension
