@@ -42,11 +42,16 @@ from .presentation import (
 )
 
 
-def _emit(payload, args, text_renderer):
+def _emit(args, payload, render):
+    """Print payload() as JSON under --format json, else call render().
+
+    Both are functions of no arguments, so each output format is built only
+    when it is printed.
+    """
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        text_renderer(payload)
+        render()
 
 
 def _forest_text(data):
@@ -93,24 +98,27 @@ def cmd_forests_enum(args):
     _check_words(args)
     data = [forest_to_json(f) for f in enumerate_forests(args.m, args.d, args.n)]
 
-    def render(payload):
-        for forest in payload:
+    def render():
+        for forest in data:
             print(_forest_text(forest))
 
-    _emit(data, args, render)
+    _emit(args, lambda: data, render)
     return 0
 
 
 def cmd_forests_count(args):
     count = len(enumerate_forests(args.m, args.d, args.n))
-    _emit({"count": count}, args, lambda payload: print(payload["count"]))
+    _emit(args, lambda: {"count": count}, lambda: print(count))
     return 0
 
 
 def cmd_forests_poincare(args):
     coeffs = poincare_polynomial(args.m, args.d, args.n, by=args.by)
-    payload = {"by": args.by, "coefficients": coeffs}
-    _emit(payload, args, lambda p: print(_poincare_text(p["coefficients"])))
+    _emit(
+        args,
+        lambda: {"by": args.by, "coefficients": coeffs},
+        lambda: print(_poincare_text(coeffs)),
+    )
     return 0
 
 
@@ -127,8 +135,8 @@ def cmd_forests_bijection(args):
             }
         )
 
-    def render(payload):
-        for row in payload:
+    def render():
+        for row in rows:
             print(
                 _forest_text(row["forest"]),
                 "->",
@@ -137,7 +145,7 @@ def cmd_forests_bijection(args):
                 "".join(map(str, row["btuple"])),
             )
 
-    _emit(rows, args, render)
+    _emit(args, lambda: rows, render)
     return 0
 
 
@@ -152,21 +160,13 @@ def cmd_coha_mul(args):
     except ValueError as exc:
         args.parser.error(str(exc))
     product = coha_mul(left, right, args.m)
-    _emit(
-        product.to_json(),
-        args,
-        lambda p: print(f"d={p['d']}:", poly_to_text(product.poly)),
-    )
+    _emit(args, product.to_json, lambda: print(f"d={product.d}:", poly_to_text(product.poly)))
     return 0
 
 
 def cmd_coha_psi(args):
     element = psi(args.k)
-    _emit(
-        element.to_json(),
-        args,
-        lambda p: print(f"psi_{args.k} =", poly_to_text(element.poly)),
-    )
+    _emit(args, element.to_json, lambda: print(f"psi_{args.k} =", poly_to_text(element.poly)))
     return 0
 
 
@@ -176,11 +176,7 @@ def cmd_coha_psi_product(args):
         args.parser.error("--ks needs a non-empty list of indices >= 0")
     element = psi_product(ks, args.m)
     label = " * ".join(f"psi_{k}" for k in ks)
-    _emit(
-        element.to_json(),
-        args,
-        lambda p: print(f"{label} =", poly_to_text(element.poly)),
-    )
+    _emit(args, element.to_json, lambda: print(f"{label} =", poly_to_text(element.poly)))
     return 0
 
 
@@ -188,19 +184,18 @@ def cmd_coha_forbidden(args):
     if not 0 <= args.p < args.d:
         args.parser.error("need 0 <= p < d")
     poly = forbidden_polynomial(args.p, args.d, args.m)
-    _emit(poly_to_json(poly), args, lambda p: print(poly_to_text(poly)))
+    _emit(args, lambda: poly_to_json(poly), lambda: print(poly_to_text(poly)))
     return 0
 
 
 def cmd_coha_relations(args):
     gens = kernel_generators(args.d, args.m)
-    payload = [g.to_json() for g in gens]
 
-    def render(rows):
+    def render():
         for g in gens:
             print(f"d={g.d}:", poly_to_text(g.poly))
 
-    _emit(payload, args, render)
+    _emit(args, lambda: [g.to_json() for g in gens], render)
     return 0
 
 
@@ -210,9 +205,9 @@ def cmd_coha_relations(args):
 
 def cmd_chow_presentation(args):
     report = presentation_report(args.m, args.d, minimal=args.minimal)
-    payload = report.to_json()
 
-    def render(p):
+    def render():
+        p = report.to_json()
         print(f"presentation for m={p['m']}, d={p['d']}")
         print("generators:")
         for g in p["generators"]:
@@ -229,7 +224,7 @@ def cmd_chow_presentation(args):
             for g in p["minimal_generators"]:
                 print("  ", g)
 
-    _emit(payload, args, render)
+    _emit(args, report.to_json, render)
     return 0
 
 
@@ -237,9 +232,9 @@ def cmd_chow_hilbert(args):
     max_deg = top_degree(args.m, args.d) if args.max_deg is None else args.max_deg
     values = kernel_ideal(args.m, args.d).hilbert_function(max_deg)
     _emit(
-        {"m": args.m, "d": args.d, "hilbert": values},
         args,
-        lambda p: print(" ".join(map(str, p["hilbert"]))),
+        lambda: {"m": args.m, "d": args.d, "hilbert": values},
+        lambda: print(" ".join(map(str, values))),
     )
     return 0
 
@@ -248,13 +243,13 @@ def cmd_chow_verify(args):
     gb = kernel_ideal(args.m, args.d)
     basis_ok = verify_chern_basis(args.m, args.d, gb)
     poincare_ok = verify_poincare_match(args.m, args.d, gb)
-    payload = {"chern_basis": basis_ok, "poincare_match": poincare_ok}
+    verdicts = {"chern_basis": basis_ok, "poincare_match": poincare_ok}
 
-    def render(p):
-        for name, verdict in p.items():
+    def render():
+        for name, verdict in verdicts.items():
             print(f"{name}: {'pass' if verdict else 'FAIL'}")
 
-    _emit(payload, args, render)
+    _emit(args, lambda: verdicts, render)
     return 0 if basis_ok and poincare_ok else 1
 
 
@@ -266,7 +261,7 @@ def cmd_chow_multiplicity(args):
     except ValueError as exc:
         args.parser.error(str(exc))
     value = local_multiplicity(polys, trials=args.trials, seed=args.seed, local_vars=args.local)
-    _emit({"multiplicity": value}, args, lambda p: print(p["multiplicity"]))
+    _emit(args, lambda: {"multiplicity": value}, lambda: print(value))
     return 0
 
 
@@ -375,18 +370,17 @@ def cmd_paper_example(args):
     check("generic intersection length 4", multiplicity == 4, str(multiplicity))
 
     all_ok = all(c["ok"] for c in checks)
-    payload = {"checks": checks, "all_ok": all_ok}
 
-    def render(p):
-        for c in p["checks"]:
+    def render():
+        for c in checks:
             mark = "ok " if c["ok"] else "FAIL"
             line = f"[{mark}] {c['name']}"
             if c["detail"]:
                 line += f": {c['detail']}"
             print(line)
-        print("all checks passed" if p["all_ok"] else "some checks FAILED")
+        print("all checks passed" if all_ok else "some checks FAILED")
 
-    _emit(payload, args, render)
+    _emit(args, lambda: {"checks": checks, "all_ok": all_ok}, render)
     return 0 if all_ok else 1
 
 

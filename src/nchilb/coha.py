@@ -10,7 +10,7 @@ product from a single block term instead of C(d, p) shuffles.  For m >= 1
 the block term times the kernel is summed per sorted exponent.  For m = 0,
 where the kernel is a denominator, the block term times a staircase
 monomial in each block is antisymmetrized.  The x-space polynomial of an
-element is expanded only when it is read.
+element is expanded on each read, and no copy of it is kept.
 
 The same shuffle machinery produces the degree-d kernel generators
 f * (e_q cup g), with f a Schur polynomial in the first p variables and
@@ -28,7 +28,6 @@ from .polynomial import (
     SymmetricPoly,
     _alternate_sums,
     _clear_denominators,
-    _embed,
     _orbit,
     _orbit_size,
     _stabilizer_order,
@@ -60,7 +59,7 @@ class CohaElement:
     """An arity d >= 0 together with a symmetric polynomial in d variables.
 
     `symmetric` holds the polynomial on partitions; `poly` is its x-space
-    form, expanded on first read.  Not mutated after construction.
+    form, expanded on each read.  Not mutated after construction.
     """
 
     __slots__ = ("symmetric",)
@@ -292,9 +291,10 @@ def module_basis(p, q):
     """
     if p < 0 or q < 0:
         raise ValueError("p and q must be non-negative")
-    d = p + q
+    pad = (0,) * q
     return [
-        _embed(schur(lam, p), tuple(range(p)), d) for lam in partitions_in_box(p, q)
+        SparsePoly._make(p + q, {e + pad: c for e, c in schur(lam, p).terms.items()})
+        for lam in partitions_in_box(p, q)
     ]
 
 

@@ -16,8 +16,7 @@ pairs, in pair order, each right after the j elements below it.  The same
 walk, driven by a J-tuple's element/critical flags, parses it back.
 """
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -70,25 +69,33 @@ def compare_words(w1, w2):
 
 @dataclass(frozen=True)
 class Tree:
-    """A prefix-closed word set, stored sorted in word order."""
+    """A prefix-closed word set, stored sorted in word order and as a set.
+
+    `top` is the largest letter of its words, 0 when it has none.
+    """
 
     words: tuple
+    nodes: frozenset = field(init=False, repr=False, compare=False)
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stored = tuple(sorted((tuple(w) for w in self.words)))
-        object.__setattr__(self, "words", stored)
-        present = set(stored)
+        nodes = frozenset(stored)
         for w in stored:
             if any(letter < 1 for letter in w):
                 raise ValueError(f"word {w} contains letters below 1")
-            if w and w[:-1] not in present:
+            if w and w[:-1] not in nodes:
                 raise ValueError(f"word set is not prefix-closed at {w}")
+        object.__setattr__(self, "words", stored)
+        object.__setattr__(self, "nodes", nodes)
+        # every letter ends the prefix that it closes
+        object.__setattr__(self, "top", max((w[-1] for w in stored if w), default=0))
 
     def __len__(self):
         return len(self.words)
 
     def __contains__(self, word):
-        return tuple(word) in set(self.words)
+        return tuple(word) in self.nodes
 
     def sort_key(self):
         # larger trees are smaller; ties by the sorted word list
@@ -112,9 +119,8 @@ class Forest:
         if len(trees) != self.n:
             raise ValueError(f"expected {self.n} trees, got {len(trees)}")
         for t in trees:
-            for w in t.words:
-                if any(letter > self.m for letter in w):
-                    raise ValueError(f"word {w} uses letters above m={self.m}")
+            if t.top > self.m:
+                raise ValueError(f"tree {t.words} uses letters above m={self.m}")
         object.__setattr__(self, "trees", trees)
 
     @property
@@ -146,41 +152,49 @@ def compare_forests(f1, f2):
 
 @lru_cache(maxsize=None)
 def enumerate_trees(m, size):
-    """All m-ary trees with `size` nodes, as sorted word tuples."""
+    """All m-ary trees with `size` nodes, as sorted word tuples in increasing order.
+
+    A tree is its root and the m-tuple of its subtrees, whose preorder
+    words, each prefixed by its letter, are already sorted.
+    """
     if size == 0:
         return ((),)
-    shapes = []
-    for split in _compositions(size - 1, m):
-        children = [enumerate_trees(m, s) for s in split]
-        for combo in itertools.product(*children):
-            words = [()]
-            for letter, subtree in enumerate(combo, start=1):
-                words.extend((letter,) + w for w in subtree)
-            shapes.append(tuple(words))
-    return tuple(sorted(shapes))
+    return tuple(
+        sorted(
+            ((),) + tuple((letter,) + w for letter, t in enumerate(subtrees, 1) for w in t.words)
+            for subtrees in _tree_tuples(m, size - 1, m)
+        )
+    )
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
+@lru_cache(maxsize=None)
+def _trees(m, size):
+    """enumerate_trees(m, size) as Tree objects, each validated once."""
+    return tuple(Tree(words) for words in enumerate_trees(m, size))
+
+
+def _tree_tuples(m, d, n):
+    """The n-tuples of m-ary trees with d nodes in all, in increasing forest order.
+
+    The order compares the trees one by one, larger trees first and trees
+    of one size by their words, so the first tree runs over the sizes d
+    down to 0 and each size in word order, and the rest recurses.
+    """
+    if n == 0:
+        if d == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for size in range(d, -1, -1):
+        for tree in _trees(m, size):
+            for rest in _tree_tuples(m, d - size, n - 1):
+                yield (tree,) + rest
 
 
 def enumerate_forests(m, d, n):
     """All m-ary forests with n roots and d nodes, sorted increasingly."""
     if m < 0 or d < 0 or n < 1:
         raise ValueError("need m >= 0, d >= 0, n >= 1")
-    forests = []
-    for split in _compositions(d, n):
-        pools = [enumerate_trees(m, s) for s in split]
-        for combo in itertools.product(*pools):
-            forests.append(Forest(tuple(Tree(t) for t in combo), m, n))
-    forests.sort(key=Forest.sort_key)
-    return forests
+    return [Forest(trees, m, n) for trees in _tree_tuples(m, d, n)]
 
 
 def _preorder(m, is_node):
@@ -202,7 +216,7 @@ def _critical_walk(forest):
     """(critical pair, j) in pair order, where j counts the nodes walked before the pair."""
     j = 0
     for k, tree in enumerate(forest.trees, start=1):
-        for word, node in _preorder(forest.m, set(tree.words).__contains__):
+        for word, node in _preorder(forest.m, tree.nodes.__contains__):
             if node:
                 j += 1
             else:

@@ -13,7 +13,7 @@ monomial symmetric functions by Kostka numbers.  Symmetry checks and the
 change of basis work on the coefficients of the sorted exponents, that is
 on partitions; SymmetricPoly holds a symmetric polynomial in that form,
 with integer coefficients over one denominator, and expands it into
-x-space only when asked.
+x-space only when asked, keeping no expanded copy.
 """
 
 import itertools
@@ -48,6 +48,11 @@ _ZERO = QQ(0)
 _ONE = QQ(1)
 
 
+def _check_nvars(nvars):
+    if nvars < 0:
+        raise ValueError(f"variable count must be non-negative, got {nvars}")
+
+
 class SparsePoly:
     """Sparse polynomial with exact rational coefficients.
 
@@ -59,8 +64,7 @@ class SparsePoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
-        if nvars < 0:
-            raise ValueError(f"variable count must be non-negative, got {nvars}")
+        _check_nvars(nvars)
         clean = {}
         if terms:
             for exp, coef in terms.items():
@@ -77,6 +81,7 @@ class SparsePoly:
     @classmethod
     def _make(cls, nvars, terms):
         # internal fast path: terms is a fresh dict, zero coefficients allowed
+        _check_nvars(nvars)
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
@@ -279,17 +284,16 @@ class SymmetricPoly:
     nonzero integers: the polynomial is the sum of coefficients[mu] /
     denominator times the monomial symmetric function m_mu.  This is the
     form that shuffle products and the change of basis compute with;
-    `poly` expands it into x-space on first read.  Not mutated after
-    construction.
+    `poly` expands it into x-space on each read and keeps no copy.  Not
+    mutated after construction.
     """
 
-    __slots__ = ("nvars", "coefficients", "denominator", "_poly")
+    __slots__ = ("nvars", "coefficients", "denominator")
 
     def __init__(self, nvars, coefficients, denominator=1):
         self.nvars = nvars
         self.coefficients = {mu: c for mu, c in coefficients.items() if c}
         self.denominator = denominator
-        self._poly = None
 
     @classmethod
     def from_poly(cls, f):
@@ -297,19 +301,15 @@ class SymmetricPoly:
         coefficients = _orbit_coefficients(f, f.nvars)
         if coefficients is None:
             raise ValueError("polynomial is not symmetric")
-        self = cls(f.nvars, *_clear_denominators(coefficients))
-        self._poly = f
-        return self
+        return cls(f.nvars, *_clear_denominators(coefficients))
 
     @property
     def poly(self):
-        """The x-space SparsePoly: every monomial of every orbit."""
-        if self._poly is None:
-            terms = {}
-            for mu, c in self.coefficients.items():
-                terms.update(dict.fromkeys(_orbit(mu), QQ(c, self.denominator)))
-            self._poly = SparsePoly._make(self.nvars, terms)
-        return self._poly
+        """The x-space SparsePoly, every monomial of every orbit, expanded on each read."""
+        terms = {}
+        for mu, c in self.coefficients.items():
+            terms.update(dict.fromkeys(_orbit(mu), QQ(c, self.denominator)))
+        return SparsePoly._make(self.nvars, terms)
 
     def is_zero(self):
         return not self.coefficients
@@ -338,8 +338,7 @@ def elementary_symmetric(k, d):
     """e_k in d variables; e_0 = 1, and by convention zero for k > d."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if d < 0:
-        raise ValueError(f"variable count must be non-negative, got {d}")
+    _check_nvars(d)
     if k > d:
         return SparsePoly.zero(d)
     terms = {}
@@ -380,9 +379,15 @@ def rho(f):
 
 def rho_pq(f, p, q):
     """Block antisymmetrization over S_p x S_q acting on x_1..x_p and x_{p+1}..x_d."""
+    _check_blocks(p, q)
     if f.nvars != p + q:
         raise ValueError(f"polynomial has {f.nvars} variables, expected {p + q}")
     return _alternate(f, p)
+
+
+def _check_blocks(p, q):
+    if p < 0 or q < 0:
+        raise ValueError(f"block sizes must be non-negative, got ({p},{q})")
 
 
 def _alternate(f, p):
@@ -460,17 +465,6 @@ def _kostka(lam, mu):
         for nu in itertools.product(*ranges)
         if sum(nu) == size
     )
-
-
-def _embed(poly, positions, nvars):
-    """Reinterpret poly(x_1..x_k) with variable i placed at positions[i]."""
-    terms = {}
-    for exp, coef in poly.terms.items():
-        new = [0] * nvars
-        for i, a in enumerate(exp):
-            new[positions[i]] = a
-        terms[tuple(new)] = coef
-    return SparsePoly._make(nvars, terms)
 
 
 def _runs(part):
@@ -569,6 +563,7 @@ def is_symmetric(f, block=None):
     if block is None:
         return _orbit_coefficients(f, d) is not None
     p, q = block
+    _check_blocks(p, q)
     if p + q != d:
         raise ValueError(f"block ({p},{q}) does not cover {d} variables")
     return _orbit_coefficients(f, p) is not None
@@ -750,8 +745,8 @@ _FACTOR_RE = re.compile(r"\*([a-z])(\d+)(?:\^(\d+))?")
 
 def poly_from_text(s, nvars=None):
     """Parse the canonical text grammar; infers the variable count if not given."""
-    if nvars is not None and nvars < 0:
-        raise ValueError(f"variable count must be non-negative, got {nvars}")
+    if nvars is not None:
+        _check_nvars(nvars)
     s = s.strip()
     if s == "0":
         return SparsePoly.zero(nvars or 0)

@@ -6,7 +6,9 @@ Jacobi-Trudi determinant, rho from the bialternant (a signed sum over
 every permutation, then long division by the discriminant), critical pairs
 from their definition (the one-letter extensions that a tree does not store,
 sorted), j-indices and d-values from pair-by-pair counts over those pairs,
-and random polynomials from seeded generators.
+forests from every composition of d into n tree sizes, the product of the
+tree sets, and one sort by the forest key, and random polynomials from
+seeded generators.
 The symmetry check, the change to e-coordinates and the kernel generators
 have slow x-space oracles here, computed term by term over all variables.
 The quotient queries of a basis have oracles that visit every monomial of
@@ -27,6 +29,7 @@ import random
 import signal
 from fractions import Fraction
 
+from nchilb.forests import Forest, Tree
 from nchilb.polynomial import (
     SparsePoly,
     discriminant,
@@ -57,6 +60,40 @@ def forest_count_oracle(m, d, n):
                 fresh[total] += counts[total - size] * fuss_catalan_trees(m, size)
         counts = fresh
     return counts[d]
+
+
+def _compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _oracle_trees(m, size):
+    """m-ary trees with `size` nodes as sorted word tuples: children sizes by composition."""
+    if size == 0:
+        return [()]
+    shapes = []
+    for split in _compositions(size - 1, m):
+        for combo in itertools.product(*(_oracle_trees(m, s) for s in split)):
+            words = [()]
+            for letter, subtree in enumerate(combo, start=1):
+                words.extend((letter,) + w for w in subtree)
+            shapes.append(tuple(words))
+    return sorted(shapes)
+
+
+def oracle_enumerate_forests(m, d, n):
+    """Every forest of every composition of d into n tree sizes, sorted by the forest key."""
+    forests = []
+    for split in _compositions(d, n):
+        for combo in itertools.product(*(_oracle_trees(m, s) for s in split)):
+            forests.append(Forest(tuple(Tree(t) for t in combo), m, n))
+    forests.sort(key=Forest.sort_key)
+    return forests
 
 
 def oracle_critical_pairs(forest):

@@ -322,3 +322,32 @@ def test_chow_subcommands_take_no_seed_or_trials(capsys, sub):
         with pytest.raises(SystemExit) as excinfo:
             main(["chow", sub, "--m", "2", "--d", "2", flag, "1"])
         assert excinfo.value.code == 2
+
+
+XSPACE_COMMANDS = [
+    ["coha", "mul", "--m", "2", "--left", "1*x1^2 + 1/2*x1", "--left-arity", "1",
+     "--right", "1*x1*x2", "--right-arity", "2"],
+    ["coha", "psi", "--k", "3"],
+    ["coha", "psi-product", "--m", "2", "--ks", "0,1,3"],
+    ["coha", "relations", "--m", "2", "--d", "3"],
+    ["coha", "forbidden", "--m", "2", "--d", "3", "--p", "1"],
+]
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("built an output format that is not printed")
+
+
+@pytest.mark.parametrize("argv", XSPACE_COMMANDS, ids=lambda argv: argv[1])
+def test_coha_builds_only_the_format_it_prints(capsys, monkeypatch, argv):
+    with monkeypatch.context() as patch:
+        patch.setattr(CohaElement, "to_json", _refuse)
+        for module in ("nchilb.cli", "nchilb.coha", "nchilb.polynomial"):
+            patch.setattr(f"{module}.poly_to_json", _refuse)
+        code, text, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0 and text.strip()
+    with monkeypatch.context() as patch:
+        for module in ("nchilb.cli", "nchilb.polynomial"):
+            patch.setattr(f"{module}.poly_to_text", _refuse)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)

@@ -13,8 +13,9 @@ seeded random ideals against pinned `_reduce` counts, and the kernel ideals
 against sympy's bases; the order-ideal walk of a basis against exhaustive
 box and cone walks; the minimal generator subset, one basis per degree,
 against the restart loop on kernel and planted weighted-homogeneous
-generators; the sparse rank check against sympy; and the critical pairs and
-j-indices of the preorder walk against set differences and element counts."""
+generators; the sparse rank check against sympy; the critical pairs and
+j-indices of the preorder walk against set differences and element counts;
+and the in-order forest recursion against compositions and one sort."""
 
 import itertools
 import math
@@ -63,6 +64,7 @@ from helpers import (
     oracle_buchberger,
     oracle_critical_pairs,
     oracle_divides,
+    oracle_enumerate_forests,
     oracle_minimal_generator_subset,
     oracle_new_pairs,
     oracle_hilbert_function,
@@ -795,3 +797,13 @@ def test_jtuples_equal_element_counts(m, d, n):
 def test_critical_pairs_equal_set_differences(m, d, n):
     for forest in enumerate_forests(m, d, n):
         assert critical_pairs(forest) == oracle_critical_pairs(forest)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_forests_in_order_equal_compositions_sorted(m):
+    for n in (1, 2, 3):
+        for d in range(6):
+            assert enumerate_forests(m, d, n) == oracle_enumerate_forests(m, d, n)
+    # trees are cached, so every forest shares its validated Tree objects
+    first, again = enumerate_forests(m, 2, 2), enumerate_forests(m, 2, 2)
+    assert all(a is b for f, g in zip(first, again) for a, b in zip(f.trees, g.trees))

@@ -221,7 +221,8 @@ def test_symmetric_poly_partition_form():
     s = SymmetricPoly.from_poly(f)
     assert s.coefficients == {(2, 0, 0): 2, (1, 1, 1): 1}
     assert s.denominator == 2
-    assert s.poly is f
+    # no x-space copy is kept: each read expands afresh
+    assert s.poly == f and s.poly is not f
     # a fresh form expands into every monomial of every orbit
     fresh = SymmetricPoly(3, {(2, 0, 0): 4, (1, 1, 1): 2, (1, 0, 0): 0}, 4)
     assert fresh.coefficients == {(2, 0, 0): 4, (1, 1, 1): 2}
@@ -232,6 +233,29 @@ def test_symmetric_poly_partition_form():
     assert SymmetricPoly(2, {}).is_zero() and SymmetricPoly(2, {}).poly.is_zero()
     with pytest.raises(ValueError, match="not symmetric"):
         SymmetricPoly.from_poly(x(1, 2))
+
+
+def test_symmetric_poly_keeps_no_x_space_state():
+    assert SymmetricPoly.__slots__ == ("nvars", "coefficients", "denominator")
+    s = SymmetricPoly(2, {(1, 0): 3}, 2)
+    assert s.poly == Fraction(3, 2) * (x(1, 2) + x(2, 2))
+    assert s.poly is not s.poly
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: is_symmetric(x(1, 2), block=(-1, 3)),
+        lambda: rho_pq(x(1, 2), 3, -1),
+        lambda: discriminant(-1),
+        lambda: SparsePoly.zero(-1),
+        lambda: SparsePoly.const(-2, 1),
+    ],
+    ids=["is_symmetric_block", "rho_pq", "discriminant", "zero", "const"],
+)
+def test_negative_sizes_rejected(build):
+    with pytest.raises(ValueError, match="non-negative"):
+        build()
 
 
 def test_negative_variable_count_rejected():
