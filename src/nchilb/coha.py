@@ -105,8 +105,7 @@ class CohaElement:
 
     @classmethod
     def from_json(cls, obj):
-        poly, _ = poly_from_json(obj["poly"])
-        return cls(obj["d"], poly)
+        return cls(obj["d"], poly_from_json(obj["poly"]))
 
 
 def _mul_int(a, b):

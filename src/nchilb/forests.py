@@ -16,9 +16,8 @@ pairs, in pair order, each right after the j elements below it.  The same
 walk, driven by a J-tuple's element/critical flags, parses it back.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 __all__ = [
     "Word",
@@ -67,29 +66,38 @@ def compare_words(w1, w2):
     return (w1 > w2) - (w1 < w2)
 
 
-@dataclass(frozen=True)
 class Tree:
     """A prefix-closed word set, stored sorted in word order and as a set.
 
-    `top` is the largest letter of its words, 0 when it has none.
+    `top` is the largest letter of its words, 0 when it has none.  Equal
+    and hashed by its words; not mutated after construction.
     """
 
-    words: tuple
-    nodes: frozenset = field(init=False, repr=False, compare=False)
-    top: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("words", "nodes", "top")
 
-    def __post_init__(self):
-        stored = tuple(sorted((tuple(w) for w in self.words)))
+    def __init__(self, words):
+        stored = tuple(sorted(tuple(w) for w in words))
         nodes = frozenset(stored)
         for w in stored:
             if any(letter < 1 for letter in w):
                 raise ValueError(f"word {w} contains letters below 1")
             if w and w[:-1] not in nodes:
                 raise ValueError(f"word set is not prefix-closed at {w}")
-        object.__setattr__(self, "words", stored)
-        object.__setattr__(self, "nodes", nodes)
+        self.words = stored
+        self.nodes = nodes
         # every letter ends the prefix that it closes
-        object.__setattr__(self, "top", max((w[-1] for w in stored if w), default=0))
+        self.top = max((w[-1] for w in stored if w), default=0)
+
+    def __eq__(self, other):
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self.words == other.words
+
+    def __hash__(self):
+        return hash(self.words)
+
+    def __repr__(self):
+        return f"Tree(words={self.words!r})"
 
     def __len__(self):
         return len(self.words)
@@ -102,26 +110,39 @@ class Tree:
         return (-len(self.words), self.words)
 
 
-@dataclass(frozen=True)
 class Forest:
-    """An ordered n-tuple of m-ary trees with d nodes in total."""
+    """An ordered n-tuple of m-ary trees with d nodes in total.
 
-    trees: tuple
-    m: int
-    n: int
+    Equal and hashed by (trees, m, n); not mutated after construction.
+    """
 
-    def __post_init__(self):
-        if self.m < 0:
+    __slots__ = ("trees", "m", "n")
+
+    def __init__(self, trees, m, n):
+        if m < 0:
             raise ValueError("alphabet size m must be non-negative")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("root count n must be positive")
-        trees = tuple(t if isinstance(t, Tree) else Tree(tuple(t)) for t in self.trees)
-        if len(trees) != self.n:
-            raise ValueError(f"expected {self.n} trees, got {len(trees)}")
+        trees = tuple(t if isinstance(t, Tree) else Tree(t) for t in trees)
+        if len(trees) != n:
+            raise ValueError(f"expected {n} trees, got {len(trees)}")
         for t in trees:
-            if t.top > self.m:
-                raise ValueError(f"tree {t.words} uses letters above m={self.m}")
-        object.__setattr__(self, "trees", trees)
+            if t.top > m:
+                raise ValueError(f"tree {t.words} uses letters above m={m}")
+        self.trees = trees
+        self.m = m
+        self.n = n
+
+    def __eq__(self, other):
+        if not isinstance(other, Forest):
+            return NotImplemented
+        return (self.trees, self.m, self.n) == (other.trees, other.m, other.n)
+
+    def __hash__(self):
+        return hash((self.trees, self.m, self.n))
+
+    def __repr__(self):
+        return f"Forest(trees={self.trees!r}, m={self.m!r}, n={self.n!r})"
 
     @property
     def d(self):
@@ -130,16 +151,8 @@ class Forest:
     def sort_key(self):
         return tuple(t.sort_key() for t in self.trees)
 
-    def pairs(self):
-        """All (root index, word) pairs of the forest, in increasing pair order."""
-        return [
-            (k, w) for k, tree in enumerate(self.trees, start=1) for w in tree.words
-        ]
 
-
-class CriticalPair(NamedTuple):
-    root: int
-    word: tuple
+CriticalPair = namedtuple("CriticalPair", "root word")
 
 
 def compare_forests(f1, f2):
@@ -150,6 +163,11 @@ def compare_forests(f1, f2):
     return -1 if k1 < k2 else (0 if k1 == k2 else 1)
 
 
+def _check_sizes(m, d, n):
+    if m < 0 or d < 0 or n < 1:
+        raise ValueError("need m >= 0, d >= 0, n >= 1")
+
+
 @lru_cache(maxsize=None)
 def enumerate_trees(m, size):
     """All m-ary trees with `size` nodes, as sorted word tuples in increasing order.
@@ -157,6 +175,7 @@ def enumerate_trees(m, size):
     A tree is its root and the m-tuple of its subtrees, whose preorder
     words, each prefixed by its letter, are already sorted.
     """
+    _check_sizes(m, size, 1)
     if size == 0:
         return ((),)
     return tuple(
@@ -192,8 +211,7 @@ def _tree_tuples(m, d, n):
 
 def enumerate_forests(m, d, n):
     """All m-ary forests with n roots and d nodes, sorted increasingly."""
-    if m < 0 or d < 0 or n < 1:
-        raise ValueError("need m >= 0, d >= 0, n >= 1")
+    _check_sizes(m, d, n)
     return [Forest(trees, m, n) for trees in _tree_tuples(m, d, n)]
 
 
@@ -339,6 +357,7 @@ def is_valid_btuple(b, m, d, n):
 
 def enumerate_btuples(m, d, n):
     """All members of the B-tuple set, in lexicographic order."""
+    _check_sizes(m, d, n)
     out = []
 
     def gen(prefix, partial):

@@ -33,13 +33,12 @@ polynomial joins and queued ones when popped.
 
 Bases are made monic over the rationals on output, and are reduced: no
 head term divides another, every tail term irreducible.  For a fixed
-generator set and weight vector the output is deterministic, so reduced
-bases can be compared directly.
+generator set and weight vector the output is deterministic, so the
+`polys` of two reduced bases can be compared directly.
 """
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 from operator import lshift, mul
@@ -359,32 +358,31 @@ def buchberger(gens, weights):
     return GroebnerBasis(nvars, order.weights, tuple(polys))
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced basis together with its weighted monomial order."""
+    """A reduced basis together with its weighted monomial order.
 
-    nvars: int
-    weights: tuple
-    polys: tuple
-    _leads: tuple = field(init=False, repr=False)
-    _order: _Order = field(init=False, repr=False, compare=False)
-    _heads: _Heads = field(init=False, repr=False, compare=False)
+    Compared by identity (`ideal_equals` compares ideals); not mutated
+    after construction.
+    """
 
-    def __post_init__(self):
-        order = _Order(tuple(self.weights), self.nvars)
+    def __init__(self, nvars, weights, polys):
+        order = _Order(tuple(weights), nvars)
         heads = _Heads(order)
         leads = []
-        for i, p in enumerate(self.polys):
-            if p.nvars != self.nvars:
-                raise ValueError(f"basis member {i} ({p}) has {p.nvars} variables, basis has {self.nvars}")
+        for i, p in enumerate(polys):
+            if p.nvars != nvars:
+                raise ValueError(f"basis member {i} ({p}) has {p.nvars} variables, basis has {nvars}")
             if p.is_zero():
                 raise ValueError(f"basis member {i} is zero")
             terms, _ = _integral(p, order)
             heads.add_primitive(sorted(terms.items(), reverse=True))
             leads.append(order.exp(heads.leads[-1]))
-        object.__setattr__(self, "_leads", tuple(leads))
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_heads", heads)
+        self.nvars = nvars
+        self.weights = weights
+        self.polys = polys
+        self._leads = tuple(leads)
+        self._order = order
+        self._heads = heads
 
     def contains(self, poly):
         return normal_form(poly, self).is_zero()

@@ -232,44 +232,6 @@ class SparsePoly:
             terms[tuple(new)] = coef
         return SparsePoly._make(self.nvars, terms)
 
-    def evaluate(self, values):
-        """Substitute values[i] (a polynomial or rational) for x_{i+1}.
-
-        All polynomial values must share one variable count, which becomes
-        the variable count of the result.
-        """
-        if len(values) != self.nvars:
-            raise ValueError(f"need {self.nvars} values, got {len(values)}")
-        target = None
-        for v in values:
-            if isinstance(v, SparsePoly):
-                if target is None:
-                    target = v.nvars
-                elif v.nvars != target:
-                    raise ValueError("substitution values disagree on variable count")
-        if target is None:
-            target = 0
-        consts = [
-            v if isinstance(v, SparsePoly) else SparsePoly.const(target, v)
-            for v in values
-        ]
-        powers = [{0: SparsePoly.const(target, 1)} for _ in range(self.nvars)]
-
-        def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * consts[i]
-            return cache[k]
-
-        total = SparsePoly.zero(target)
-        for exp, coef in self.terms.items():
-            term = SparsePoly.const(target, coef)
-            for i, a in enumerate(exp):
-                if a:
-                    term = term * power(i, a)
-            total = total + term
-        return total
-
     def __repr__(self):
         return f"SparsePoly({self.nvars}, {poly_to_text(self)!r})"
 
@@ -703,9 +665,17 @@ def to_elementary(f):
 
 
 def from_elementary(g):
-    """Evaluate a polynomial in e-variables at the elementary symmetric polynomials."""
-    d = g.nvars
-    return g.evaluate([elementary_symmetric(i + 1, d) for i in range(d)])
+    """Evaluate a polynomial in e-variables at the elementary symmetric polynomials.
+
+    Each e-monomial expands on partitions by the same `_e_monomial` that
+    `to_elementary` descends with, over the common denominator of g.
+    """
+    coefficients, denom = _clear_denominators(g.terms)
+    total = {}
+    for a, c in coefficients.items():
+        for mu, k in _e_monomial(a).items():
+            total[mu] = total.get(mu, 0) + c * k
+    return SymmetricPoly(g.nvars, total, denom).poly
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +693,10 @@ def poly_to_text(f, names="x"):
         return "0"
     pieces = []
     for exp, coef in sorted(f.terms.items(), key=_term_sort_key, reverse=True):
-        body = str(coef if coef > 0 else -coef)
+        body = str(coef)
+        negative = body[0] == "-"
+        if negative:
+            body = body[1:]
         for i, a in enumerate(exp):
             if a == 0:
                 continue
@@ -731,9 +704,9 @@ def poly_to_text(f, names="x"):
             if a > 1:
                 body += f"^{a}"
         if not pieces:
-            pieces.append(body if coef > 0 else "-" + body)
+            pieces.append("-" + body if negative else body)
         else:
-            pieces.append((" + " if coef > 0 else " - ") + body)
+            pieces.append((" - " if negative else " + ") + body)
     return "".join(pieces)
 
 
@@ -791,11 +764,11 @@ def poly_from_text(s, nvars=None):
     return SparsePoly._make(width, acc)
 
 
-def poly_to_json(f, basis="x"):
-    """JSON object for a polynomial; terms in canonical order, coefficients as strings."""
+def poly_to_json(f):
+    """JSON object for an x-space polynomial; terms in canonical order, coefficients as strings."""
     return {
         "vars": f.nvars,
-        "basis": basis,
+        "basis": "x",
         "terms": [
             {"coef": str(coef), "exp": list(exp)}
             for exp, coef in sorted(f.terms.items(), key=_term_sort_key, reverse=True)
@@ -804,10 +777,13 @@ def poly_to_json(f, basis="x"):
 
 
 def poly_from_json(obj):
-    """Inverse of poly_to_json; returns (polynomial, basis)."""
+    """Inverse of poly_to_json; ValueError for a basis other than "x"."""
+    basis = obj.get("basis", "x")
+    if basis != "x":
+        raise ValueError(f"polynomial basis must be 'x', got {basis!r}")
     nvars = obj["vars"]
     terms = {}
     for term in obj["terms"]:
         exp = tuple(term["exp"])
         terms[exp] = terms.get(exp, _ZERO) + QQ(term["coef"])
-    return SparsePoly._make(nvars, terms), obj.get("basis", "x")
+    return SparsePoly._make(nvars, terms)

@@ -14,12 +14,11 @@ specializations.
 """
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .coha import kernel_generators
 from .forests import ambient_dimension, enumerate_btuples, poincare_polynomial
-from .groebner import GroebnerBasis, buchberger, normal_form
+from .groebner import buchberger, normal_form
 from .polynomial import (
     SparsePoly,
     is_symmetric,  # noqa: F401  (perfbench/tracer.py wraps nchilb.presentation.is_symmetric)
@@ -261,18 +260,22 @@ def minimal_generator_subset(gens, weights):
     return [gens[i] for i in sorted(kept)]
 
 
-@dataclass(frozen=True)
 class PresentationReport:
-    """Everything the presentation pipeline knows about one (m, d)."""
+    """Everything the presentation pipeline knows about one (m, d).
 
-    m: int
-    d: int
-    generators: tuple
-    groebner: GroebnerBasis
-    hilbert: tuple
-    standard_monomials: tuple
-    verdicts: dict
-    minimal_generators: tuple = None
+    Compared by identity; not mutated after construction.
+    """
+
+    def __init__(self, m, d, generators, groebner, hilbert, standard_monomials, verdicts,
+                 minimal_generators=None):
+        self.m = m
+        self.d = d
+        self.generators = generators
+        self.groebner = groebner
+        self.hilbert = hilbert
+        self.standard_monomials = standard_monomials
+        self.verdicts = verdicts
+        self.minimal_generators = minimal_generators
 
     def to_json(self):
         data = {

@@ -9,8 +9,9 @@ sorted), j-indices and d-values from pair-by-pair counts over those pairs,
 forests from every composition of d into n tree sizes, the product of the
 tree sets, and one sort by the forest key, and random polynomials from
 seeded generators.
-The symmetry check, the change to e-coordinates and the kernel generators
-have slow x-space oracles here, computed term by term over all variables.
+The symmetry check, the change to e-coordinates in both directions and
+the kernel generators have slow x-space oracles here, computed term by
+term over all variables.
 The quotient queries of a basis have oracles that visit every monomial of
 a box or a weighted cone and test it against every head.  Buchberger and
 the normal form have the tuple-exponent oracle: orders, divisibility and
@@ -114,11 +115,16 @@ def oracle_critical_pairs(forest):
     return result
 
 
+def forest_pairs(forest):
+    """All (root index, word) pairs of the forest, in increasing pair order."""
+    return [(k, w) for k, tree in enumerate(forest.trees, start=1) for w in tree.words]
+
+
 def d_value_oracle(forest):
     """Count the pairs (element, critical pair) with the element strictly below."""
     critical = oracle_critical_pairs(forest)
     count = 0
-    for k, w in forest.pairs():
+    for k, w in forest_pairs(forest):
         for k2, w2 in critical:
             if k < k2 or (k == k2 and w < w2):
                 count += 1
@@ -129,7 +135,7 @@ def jtuple_oracle(forest):
     """Sorted j-indices, each counted element by element over the whole forest."""
     return tuple(
         sorted(
-            sum(1 for k, w in forest.pairs() if k < k2 or (k == k2 and w < w2))
+            sum(1 for k, w in forest_pairs(forest) if k < k2 or (k == k2 and w < w2))
             for k2, w2 in oracle_critical_pairs(forest)
         )
     )
@@ -335,6 +341,18 @@ def oracle_to_elementary(f):
                 expansion = expansion * elementary_symmetric(i + 1, d) ** a
         remainder = remainder - coef * expansion
     return SparsePoly(d, result)
+
+
+def oracle_from_elementary(g):
+    """g at e_i = elementary_symmetric(i, d): each term a product of x-space powers."""
+    d = g.nvars
+    total = SparsePoly.zero(d)
+    for exp, coef in g.terms.items():
+        term = SparsePoly.const(d, coef)
+        for i, a in enumerate(exp):
+            term = term * elementary_symmetric(i + 1, d) ** a
+        total = total + term
+    return total
 
 
 def _place(poly, positions, nvars):

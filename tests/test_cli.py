@@ -71,7 +71,7 @@ def test_coha_mul_json(capsys):
     data = json.loads(out)
     element = CohaElement.from_json(data)
     assert element.d == 2
-    poly, _ = poly_from_json(data["poly"])
+    poly = poly_from_json(data["poly"])
     assert poly.degree() == 2
 
 

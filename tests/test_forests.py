@@ -17,6 +17,7 @@ from nchilb.forests import (
     enumerate_btuples,
     enumerate_forests,
     enumerate_jtuples,
+    enumerate_trees,
     forest_from_json,
     forest_to_json,
     forest_to_jtuple,
@@ -129,6 +130,32 @@ def test_enumeration_is_strictly_increasing(m, d, n):
     forests = enumerate_forests(m, d, n)
     for f1, f2 in zip(forests, forests[1:]):
         assert compare_forests(f1, f2) == -1
+
+
+def test_trees_and_forests_are_slotted_values():
+    f = forest(2, 1, ("", "1"))
+    assert not hasattr(f, "__dict__") and not hasattr(f.trees[0], "__dict__")
+    assert repr(f) == "Forest(trees=(Tree(words=((), (1,))),), m=2, n=1)"
+    same = Forest((Tree([(1,), ()]),), 2, 1)
+    assert same == f and hash(same) == hash(f) and same.trees[0] == f.trees[0]
+    assert f != forest(3, 1, ("", "1")) and f.trees[0] != f
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        (enumerate_btuples, (2, -1, 1)),
+        (enumerate_jtuples, (2, -1, 1)),
+        (enumerate_trees, (-1, 2)),
+        (enumerate_trees, (2, -1)),
+        (enumerate_btuples, (2, 0, 0)),
+        (enumerate_btuples, (-1, 2, 1)),
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_enumerators_refuse_impossible_sizes(call, args):
+    with pytest.raises(ValueError, match="need m >= 0, d >= 0, n >= 1"):
+        call(*args)
 
 
 def test_invalid_tree_rejected():

@@ -65,6 +65,7 @@ from helpers import (
     oracle_critical_pairs,
     oracle_divides,
     oracle_enumerate_forests,
+    oracle_from_elementary,
     oracle_minimal_generator_subset,
     oracle_new_pairs,
     oracle_hilbert_function,
@@ -140,6 +141,13 @@ def e_polynomials(draw):
 @given(e_polynomials())
 def test_to_elementary_inverts_from_elementary(g):
     assert to_elementary(from_elementary(g)) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(e_polynomials())
+def test_from_elementary_equals_x_space_products(g):
+    # both directions read _e_monomial, so the round trip alone cannot catch a wrong expansion
+    assert from_elementary(g) == oracle_from_elementary(g)
 
 
 @settings(max_examples=60, deadline=None)

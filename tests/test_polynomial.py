@@ -341,10 +341,11 @@ def test_json_round_trip():
     rng = random.Random(7)
     for _ in range(20):
         f = random_poly(rng, 2)
-        obj = poly_to_json(f, basis="e")
-        back, basis = poly_from_json(obj)
-        assert back == f and basis == "e"
-        assert obj["vars"] == 2
+        obj = poly_to_json(f)
+        assert poly_from_json(obj) == f
+        assert obj["vars"] == 2 and obj["basis"] == "x"
+    with pytest.raises(ValueError, match="basis must be 'x'"):
+        poly_from_json(dict(obj, basis="e"))
 
 
 def test_backend_is_fraction():

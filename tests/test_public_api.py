@@ -3,6 +3,8 @@
 import ast
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -43,3 +45,14 @@ def test_removed_bialternant_names_are_gone():
     for name in ("antisymmetrize", "exact_divide", "NonDivisibleError"):
         assert not hasattr(nchilb, name)
         assert not hasattr(nchilb.polynomial, name)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site hooks from importing them first
+    code = "import nchilb.cli, sys; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(nchilb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
