@@ -27,14 +27,18 @@ scaled by as much of the head coefficient as the coefficient being
 reduced lacks, so no fraction is formed.  Division keeps the pending terms
 in a heap of keys.  The first head that divides a key is memoised per key,
 for division and the staircase walk alike.  The inputs and the pairs go
-through one queue, by the weighted degree of an input's head or of a
-pair's lcm, and the Gebauer-Moeller update thins new pairs when a
-polynomial joins and queued ones when popped.
+through one queue: every input before every pair, and the pairs by the
+weighted degree of their lcm.  The Gebauer-Moeller update thins new pairs
+when a polynomial joins and queued ones when popped.
 
-Bases are made monic over the rationals on output, and are reduced: no
-head term divides another, every tail term irreducible.  For a fixed
-generator set and weight vector the output is deterministic, so the
-`polys` of two reduced bases can be compared directly.
+Bases are reduced: no head term divides another, every tail term
+irreducible.  They stay in the packed integer form; their `polys`, monic
+over the rationals, are built when first read.  For a fixed generator set
+and weight vector the output is deterministic, so the `polys` of two
+reduced bases can be compared directly.  For weighted-homogeneous
+generators a basis can be truncated at a weighted degree: it then holds
+the members of the reduced basis up to that degree, which depend only on
+the generators up to it.
 """
 
 import heapq
@@ -240,6 +244,11 @@ def normal_form(poly, gb):
     if poly.nvars != gb.nvars:
         raise ValueError(f"polynomial has {poly.nvars} variables, basis has {gb.nvars}")
     work, den = _integral(poly, gb._order)
+    if gb.max_deg is not None and work and gb._order.degree(max(work)) > gb.max_deg:
+        raise ValueError(
+            f"the basis is truncated at weighted degree {gb.max_deg}, below the "
+            f"polynomial's weighted degree {gb._order.degree(max(work))}"
+        )
     remainder, scale = _reduce(work, gb._heads)
     return _to_poly(remainder, den * scale, gb._order)
 
@@ -273,93 +282,185 @@ def _new_pairs(new, lead, leads, guard):
     return [new[k] for k in sorted(keep)]
 
 
-def buchberger(gens, weights):
+class _Run:
+    """The state of one Buchberger run, which a truncated basis keeps so that it can resume.
+
+    `heads` holds every member that joined, in order, `fields` their packed
+    head exponents for the lcms, `active` the members no later head
+    divides, and `queue` the inputs and pairs not yet popped as (weighted
+    degree, serial number, input terms or None, pair (i, j, lcm key) or
+    None), first in first out within a degree.
+    """
+
+    def __init__(self, order):
+        self.order = order
+        self.heads = _Heads(order)
+        self.fields = []
+        self.active = []
+        self.queue = []
+        self.serial = itertools.count()
+
+    def copy(self):
+        """A run in the same state that goes on without changing this one."""
+        other = _Run(self.order)
+        heads = self.heads
+        other.heads.leads, other.heads.guarded = list(heads.leads), list(heads.guarded)
+        other.heads.coefs, other.heads.tails = list(heads.coefs), list(heads.tails)
+        other.heads.memo = dict(heads.memo)
+        other.fields = list(self.fields)
+        other.active = list(self.active)
+        other.queue = list(self.queue)  # a copied heap is a heap
+        other.serial = itertools.count(next(self.serial))
+        return other
+
+    def push_input(self, terms):
+        """Queue {key: int} at degree 0, before every pair."""
+        heapq.heappush(self.queue, (0, next(self.serial), terms, None))
+
+    def until(self, max_deg):
+        """Pop inputs and pairs until the queue is empty or its next pair lies above max_deg."""
+        order, heads, queue, serial, fields = self.order, self.heads, self.queue, self.serial, self.fields
+        divides, guard = order.divides, order.guard
+        leads, guarded, coefs, tails = heads.leads, heads.guarded, heads.coefs, heads.tails
+        active = self.active
+
+        def lcm_key(i, j):
+            return order.lcm(fields[i], fields[j])
+
+        while queue and (max_deg is None or queue[0][0] <= max_deg):
+            _, _, work, pair = heapq.heappop(queue)
+            if pair:
+                i, j, l = pair
+                # A member k that joined after the pair was queued shadows it
+                # when its head divides l and both of its lcms with i and j differ from l.
+                if any(
+                    (guarded[k] - l) & guard == guard and lcm_key(i, k) != l != lcm_key(j, k)
+                    for k in range(j + 1, len(leads))
+                ):
+                    continue
+                g = gcd(coefs[i], coefs[j])
+                a, b = coefs[j] // g, coefs[i] // g
+                work = {l + delta: a * c for delta, c in tails[i]}
+                for delta, c in tails[j]:
+                    target = l + delta
+                    acc = work.get(target)
+                    work[target] = -b * c if acc is None else acc - b * c
+            reduced, _ = _reduce(work, heads)
+            if not reduced:
+                continue
+            heads.add_primitive(reduced)
+            lead = reduced[0][0]
+            fields.append(order.fields(lead))
+            h = len(leads) - 1
+            for l, g in _new_pairs([(lcm_key(g, h), g) for g in active], lead, leads, guard):
+                heapq.heappush(queue, (order.degree(l), next(serial), None, (g, h, l)))
+            active = [g for g in active if not divides(lead, leads[g])] + [h]
+        self.active = active
+
+    def basis(self):
+        """The reduced basis of the members that joined, in ascending order of heads.
+
+        No head divides a later one (each joins reduced), and a head that a
+        later one divides left `active`: the active members form a minimal
+        basis, and their tails reduce against every member, which gives the
+        same remainders and finds most divisors memoised.  A tail term lies
+        below its own head, which therefore never divides it.  The reduced
+        member replaces the one in the run, so that a resumed run's basis
+        rechecks its tail against the heads that joined since only.
+        """
+        heads = self.heads
+        leads, coefs, tails = heads.leads, heads.coefs, heads.tails
+        basis = _Heads(self.order)
+        for i in sorted(self.active, key=leads.__getitem__):
+            lead = leads[i]
+            rest, scale = _reduce({lead + delta: c for delta, c in tails[i]}, heads)
+            basis.add_primitive([(lead, coefs[i] * scale)] + rest)
+            coefs[i], tails[i] = basis.coefs[-1], basis.tails[-1]
+        return basis
+
+
+def buchberger(gens, weights, *, max_deg=None, start=None):
     """Reduced basis of the ideal generated by gens, under the weighted order.
 
     Coefficients are integers inside the engine: every member is kept
     primitive, an S-polynomial is (h_j/g) tail_i - (h_i/g) tail_j with
     g = gcd(h_i, h_j) for head coefficients h, and division is
-    pseudo-division.  The output basis is made monic over the rationals.
+    pseudo-division.  The basis stays in that form; its `polys` are made
+    monic over the rationals when first read.
 
-    One loop pops inputs and pairs from one queue, by the weighted degree
-    of an input's head or of a pair's lcm, first in first out within a
-    degree, so runs are reproducible; the inputs are queued first, by
-    ascending head key, so at equal degree they pop before every pair.  A
-    popped input or S-polynomial is reduced and joins when nonzero.  The
-    Gebauer-Moeller update thins the pairs: of a new member's pairs it
-    keeps one per minimal lcm and none with coprime heads (`_new_pairs`),
-    it leaves older members whose heads the new head divides out of future
-    pairs, and a popped pair is dropped when a member that joined after it
-    was queued shadows it.
+    One loop pops inputs and pairs from one queue.  The inputs come first,
+    by ascending head key, each reduced against the inputs before it, so no
+    input is reduced after a pair: an input joining among the members of
+    higher-degree pairs lets their coefficients swell.  The pairs follow by
+    the weighted degree of their lcm, first in first out within a degree,
+    so runs are reproducible.  A popped input or S-polynomial is reduced
+    and joins when nonzero.  The Gebauer-Moeller update thins the pairs: of
+    a new member's pairs it keeps one per minimal lcm and none with coprime
+    heads (`_new_pairs`), it leaves older members whose heads the new head
+    divides out of future pairs, and a popped pair is dropped when a member
+    that joined after it was queued shadows it.
+
+    With max_deg the generators must be weighted-homogeneous (ValueError
+    otherwise).  Inputs above max_deg are left out and the loop stops before
+    the first pair above it, so the result holds the members of the reduced
+    basis of weighted degree <= max_deg, which depend only on the
+    generators up to that degree.  Such a truncated basis answers normal
+    forms only up to max_deg and refuses whole-ideal queries.
+
+    start, a truncated basis from this function, resumes its run: the
+    result is then the basis, truncated at max_deg >= start.max_deg, of the
+    ideal that start's members and gens generate, and gens may be empty.
+    The resumed run queues gens before the pairs that start's run held back
+    above its degree, pops no pair a second time, and leaves start as it
+    was.  Runs resumed from one degree to the next give the same bases as
+    runs from scratch, without redoing the lower degrees.
     """
     gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    if start is not None:
+        if start._run is None:
+            raise ValueError("start must be a truncated basis from buchberger")
+        if max_deg is None or max_deg < start.max_deg:
+            raise ValueError(f"max_deg must be at least start's {start.max_deg}, got {max_deg}")
+        if tuple(weights) != start.weights:
+            raise ValueError(f"weights {tuple(weights)} differ from start's {start.weights}")
+        nvars, order, run = start.nvars, start._order, start._run.copy()
+    elif not gens:
         raise ValueError("no nonzero generators")
-    nvars = gens[0].nvars
+    else:
+        nvars = gens[0].nvars
+        order = _Order(tuple(weights), nvars)
+        run = _Run(order)
     if any(g.nvars != nvars for g in gens):
         raise ValueError("generators disagree on variable count")
-    order = _Order(tuple(weights), nvars)
-    divides, guard = order.divides, order.guard
-    heads = _Heads(order)
-    leads, guarded, coefs, tails = heads.leads, heads.guarded, heads.coefs, heads.tails
-    fields = []  # packed head exponents, for the lcms
-    active = []  # members no later head divides
-    serial = itertools.count()
-    # (weighted degree, serial number, input terms or None, pair (i, j, lcm key) or None);
-    # the inputs come first by ascending head key, a sorted list being a heap
-    queue = [
-        (order.degree(max(terms)), next(serial), terms, None)
-        for terms, _ in sorted((_integral(g, order) for g in gens), key=lambda item: max(item[0]))
-    ]
-
-    def lcm_key(i, j):
-        return order.lcm(fields[i], fields[j])
-
-    while queue:
-        _, _, work, pair = heapq.heappop(queue)
-        if pair:
-            i, j, l = pair
-            # A member k that joined after the pair was queued shadows it
-            # when its head divides l and both of its lcms with i and j differ from l.
-            if any(
-                (guarded[k] - l) & guard == guard and lcm_key(i, k) != l != lcm_key(j, k)
-                for k in range(j + 1, len(leads))
-            ):
-                continue
-            g = gcd(coefs[i], coefs[j])
-            a, b = coefs[j] // g, coefs[i] // g
-            work = {l + delta: a * c for delta, c in tails[i]}
-            for delta, c in tails[j]:
-                target = l + delta
-                acc = work.get(target)
-                work[target] = -b * c if acc is None else acc - b * c
-        reduced, _ = _reduce(work, heads)
-        if not reduced:
-            continue
-        heads.add_primitive(reduced)
-        lead = reduced[0][0]
-        fields.append(order.fields(lead))
-        h = len(leads) - 1
-        for l, g in _new_pairs([(lcm_key(g, h), g) for g in active], lead, leads, guard):
-            heapq.heappush(queue, (order.degree(l), next(serial), None, (g, h, l)))
-        active = [g for g in active if not divides(lead, leads[g])] + [h]
-
-    # No head divides a later one (each joins reduced), and a head that a
-    # later one divides left `active`: the active members form a minimal
-    # basis, and their tails reduce against it.  A tail term lies below its
-    # own head, which therefore never divides it.
-    minimal = _Heads(order)
-    for i in sorted(active, key=leads.__getitem__):
-        minimal.add(leads[i], coefs[i], tails[i])
-    polys = []
-    for lead, coef, tail in zip(minimal.leads, minimal.coefs, minimal.tails):
-        rest, scale = _reduce({lead + delta: c for delta, c in tail}, minimal)
-        polys.append(_to_poly([(lead, coef * scale)] + rest, coef * scale, order))
-    return GroebnerBasis(nvars, order.weights, tuple(polys))
+    inputs = [_integral(g, order)[0] for g in gens]
+    if max_deg is not None:
+        if max_deg < 0:
+            raise ValueError(f"max_deg must be >= 0, got {max_deg}")
+        for g, terms in zip(gens, inputs):
+            if order.degree(min(terms)) != order.degree(max(terms)):
+                raise ValueError(
+                    f"a basis truncated at max_deg needs weighted-homogeneous generators: {g} is not"
+                )
+        inputs = [terms for terms in inputs if order.degree(max(terms)) <= max_deg]
+    for terms in sorted(inputs, key=max):
+        run.push_input(terms)
+    run.until(max_deg)
+    return GroebnerBasis._packed(order, run.basis(), max_deg, None if max_deg is None else run)
 
 
 class GroebnerBasis:
     """A reduced basis together with its weighted monomial order.
+
+    The members are kept as the engine's packed heads and primitive integer
+    tails.  `polys`, the members as polynomials, is built on first read:
+    monic over the rationals for a basis from `buchberger`, the given
+    members for one built here from polys.  `max_deg` is None for a whole
+    basis.  A basis truncated at max_deg (see `buchberger`) is a Groebner
+    basis only up to that weighted degree: `normal_form` and `contains`
+    refuse a polynomial above it, and `is_finite_dimensional`,
+    `standard_monomials`, `quotient_dimension`, `hilbert_function` and
+    `ideal_equals` refuse it with ValueError.  It keeps the state of its
+    run, which `buchberger(..., start=basis)` resumes.
 
     Compared by identity (`ideal_equals` compares ideals); not mutated
     after construction.
@@ -368,7 +469,6 @@ class GroebnerBasis:
     def __init__(self, nvars, weights, polys):
         order = _Order(tuple(weights), nvars)
         heads = _Heads(order)
-        leads = []
         for i, p in enumerate(polys):
             if p.nvars != nvars:
                 raise ValueError(f"basis member {i} ({p}) has {p.nvars} variables, basis has {nvars}")
@@ -376,13 +476,44 @@ class GroebnerBasis:
                 raise ValueError(f"basis member {i} is zero")
             terms, _ = _integral(p, order)
             heads.add_primitive(sorted(terms.items(), reverse=True))
-            leads.append(order.exp(heads.leads[-1]))
-        self.nvars = nvars
-        self.weights = weights
+        self._init(order, heads, None, None)
         self.polys = polys
-        self._leads = tuple(leads)
+
+    @classmethod
+    def _packed(cls, order, heads, max_deg, run):
+        """The basis whose members are heads, truncated at max_deg unless it is None.
+
+        run is the `_Run` a truncated basis resumes from, or None.
+        """
+        self = object.__new__(cls)
+        self._init(order, heads, max_deg, run)
+        return self
+
+    def _init(self, order, heads, max_deg, run):
+        self.nvars = order.nvars
+        self.weights = order.weights
+        self.max_deg = max_deg
+        self._run = run
+        self._leads = tuple(map(order.exp, heads.leads))
         self._order = order
         self._heads = heads
+
+    @cached_property
+    def polys(self):
+        """The members, monic over the rationals, in ascending order of heads."""
+        order = self._order
+        return tuple(
+            _to_poly([(lead, coef)] + [(lead + delta, c) for delta, c in tail], coef, order)
+            for lead, coef, tail in zip(self._heads.leads, self._heads.coefs, self._heads.tails)
+        )
+
+    def _whole(self):
+        """Refuse a whole-ideal query on a truncated basis."""
+        if self.max_deg is not None:
+            raise ValueError(
+                f"the basis is truncated at weighted degree {self.max_deg}: it gives normal "
+                "forms up to that degree and answers no question about the whole ideal"
+            )
 
     def contains(self, poly):
         return normal_form(poly, self).is_zero()
@@ -420,6 +551,7 @@ class GroebnerBasis:
 
     def is_finite_dimensional(self):
         """Every variable has a pure-power head, or the ideal is the unit ideal."""
+        self._whole()
         powers = {i for lead in self._leads for i, a in enumerate(lead) if a and a == sum(lead)}
         return self.is_unit_ideal() or len(powers) == self.nvars
 
@@ -442,6 +574,7 @@ class GroebnerBasis:
         A finite quotient reads its one full walk; otherwise the walk stops
         at max_deg.
         """
+        self._whole()
         if max_deg < 0:
             raise ValueError(f"max_deg must be >= 0, got {max_deg}")
         if max_deg >= _LIMIT:
@@ -462,6 +595,8 @@ class GroebnerBasis:
 
 def ideal_equals(a, b):
     """Two-sided membership check: every member of each basis reduces to zero in the other."""
+    a._whole()
+    b._whole()
     if a.nvars != b.nvars:
         return False
     return all(b.contains(p) for p in a.polys) and all(

@@ -15,6 +15,7 @@ specializations.
 
 import random
 from functools import lru_cache
+from math import lcm
 
 from .coha import kernel_generators
 from .forests import ambient_dimension, enumerate_btuples, poincare_polynomial
@@ -160,13 +161,14 @@ def local_multiplicity(polys, trials=5, seed=0, local_vars=2):
 
     leads = [_leading_local_monomial(p, local_vars) for p in polys]
     top = [max(exp[local_vars + i] for p in polys for exp in p.terms) for i in range(n_params)]
+    integral = [_integral_terms(p) for p in polys]
     rng = random.Random(seed)
     dimensions = []
     for _ in range(trials):
         for _attempt in range(1000):
             values = [rng.randint(-100, 100) for _ in range(n_params)]
             powers = [[v**a for a in range(k + 1)] for v, k in zip(values, top)]
-            specialized = [_specialize(p, local_vars, powers) for p in polys]
+            specialized = [_specialize(terms, local_vars, powers) for terms in integral]
             if all(g.terms.get(lead) for g, lead in zip(specialized, leads)):
                 break
         else:
@@ -189,16 +191,21 @@ def _leading_local_monomial(poly, local_vars):
     return max((exp[:local_vars] for exp in poly.terms), key=lambda e: (sum(e), e))
 
 
-def _specialize(poly, local_vars, powers):
-    """poly with parameter i replaced by a value whose a-th power is powers[i][a]."""
-    terms = {}
-    for exp, coef in poly.terms.items():
-        value = 1
+def _integral_terms(poly):
+    """The (exponent, int) terms of poly times the common denominator of its coefficients."""
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    return [(exp, c.numerator * (den // c.denominator)) for exp, c in poly.terms.items()]
+
+
+def _specialize(terms, local_vars, powers):
+    """The integer terms with parameter i replaced by a value whose a-th power is powers[i][a]."""
+    special = {}
+    for exp, coef in terms:
         for power, a in zip(powers, exp[local_vars:]):
-            value *= power[a]
+            coef *= power[a]
         local = exp[:local_vars]
-        terms[local] = terms.get(local, 0) + coef * value
-    return SparsePoly._make(local_vars, terms)
+        special[local] = special.get(local, 0) + coef
+    return SparsePoly._make(local_vars, {exp: QQ(c) for exp, c in special.items()})
 
 
 def minimal_generator_subset(gens, weights):
@@ -224,8 +231,11 @@ def minimal_generator_subset(gens, weights):
     independent modulo the span of v_j..v_r).  So each degree block, in
     increasing degree, is reduced in reverse input order against the
     pivots of the later ones, modulo a basis of the kept generators of
-    lower degree, rebuilt only when that list has grown; a nonzero
-    remainder keeps the generator.
+    lower degree truncated at degree k; a nonzero remainder keeps the
+    generator.  By homogeneity the members of degree <= k of a reduced
+    basis depend only on the generators up to degree k, so the truncated
+    basis gives the same normal forms as the whole one.  Each block's basis
+    resumes the run of the one before, adding the generators kept since.
     """
     gens = list(gens)
     if not gens:
@@ -247,16 +257,17 @@ def minimal_generator_subset(gens, weights):
         if degrees:
             blocks.setdefault(degrees.pop(), []).append(i)
     kept = []  # input indices
-    gb, basis_size = None, 0
+    gb, new = None, []  # the basis of the kept generators, those kept since it was built
     for degree in sorted(blocks):
-        if len(kept) > basis_size:
-            basis_size = len(kept)
-            gb = buchberger([gens[i] for i in sorted(kept)], weights)
+        if kept:
+            gb = buchberger([gens[i] for i in sorted(new)], weights, max_deg=degree, start=gb)
+            new = []
         pivots = {}
         for i in reversed(blocks[degree]):
             remainder = gens[i] if gb is None else normal_form(gens[i], gb)
             if _add_pivot(pivots, remainder):
                 kept.append(i)
+                new.append(i)
     return [gens[i] for i in sorted(kept)]
 
 

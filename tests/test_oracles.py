@@ -9,13 +9,17 @@ packed-monomial Buchberger, normal forms (also on planted head coefficients
 that force pseudo-division to scale), order, divisibility and pair lcms
 against the tuple-exponent oracle, the Gebauer-Moeller new-pair thinning
 against the quadratic loop, the pair work on the stored inputs and on
-seeded random ideals against pinned `_reduce` counts, and the kernel ideals
-against sympy's bases; the order-ideal walk of a basis against exhaustive
-box and cone walks; the minimal generator subset, one basis per degree,
-against the restart loop on kernel and planted weighted-homogeneous
-generators; the sparse rank check against sympy; the critical pairs and
-j-indices of the preorder walk against set differences and element counts;
-and the in-order forest recursion against compositions and one sort."""
+seeded random ideals against pinned `_reduce` counts, every input reduced
+before every pair, and the kernel ideals against sympy's bases; bases
+truncated at a degree, and runs resumed from them, against whole bases and
+runs from scratch, and the members built on first read against the packed
+ones; the order-ideal walk of a basis against exhaustive box and cone
+walks; the minimal generator subset, one truncated basis per degree, each
+resuming the last, against the restart loop on kernel and planted
+weighted-homogeneous generators; the sparse rank check against sympy; the
+critical pairs and j-indices of the preorder walk against set differences
+and element counts; and the in-order forest recursion against compositions
+and one sort."""
 
 import itertools
 import math
@@ -33,7 +37,7 @@ import nchilb.presentation
 from nchilb.cli import _worked_example_pair
 from nchilb.coha import CohaElement, coha_mul, kernel_generators
 from nchilb.forests import critical_pairs, enumerate_forests, forest_to_jtuple
-from nchilb.groebner import GroebnerBasis, _new_pairs, _Order, buchberger, normal_form
+from nchilb.groebner import GroebnerBasis, _new_pairs, _Order, buchberger, ideal_equals, normal_form
 from nchilb.polynomial import (
     SparsePoly,
     SymmetricPoly,
@@ -503,7 +507,48 @@ def test_buchberger_pair_work_on_random_ideals(monkeypatch):
         weights = tuple(rng.randint(1, 2) for _ in range(3))
         gens = [random_poly(rng, 3, max_deg=3, nterms=3, coef_bound=3) for _ in range(3)]
         counts.append(_reduce_calls(monkeypatch, gens, weights))
-    assert counts == [24, 28, 75, 44, 18, 11, 75, 6, 23, 47]
+        assert buchberger(gens, weights).polys == oracle_buchberger(gens, weights)
+    assert counts == [24, 29, 72, 44, 15, 11, 76, 6, 23, 47]
+
+
+def _input_reductions(gens, weights):
+    """Which `_reduce` calls of `buchberger(gens, weights)` reduce an input, in call order."""
+    inputs, calls = [], []
+    integral, reduce = nchilb.groebner._integral, nchilb.groebner._reduce
+
+    def recorded(poly, order):
+        work, den = integral(poly, order)
+        inputs.append(work)
+        return work, den
+
+    def counted(work, heads):
+        calls.append(any(work is terms for terms in inputs))
+        return reduce(work, heads)
+
+    with pytest.MonkeyPatch.context() as patch, time_limit(60):
+        patch.setattr(nchilb.groebner, "_integral", recorded)
+        patch.setattr(nchilb.groebner, "_reduce", counted)
+        buchberger(gens, weights)
+    return calls
+
+
+@pytest.mark.parametrize("m,d", sorted(REDUCE_CALLS))
+def test_no_input_is_reduced_after_a_pair_on_stored_inputs(m, d):
+    # An input that joins among the members of higher-degree pairs lets
+    # their coefficients swell: at (3,7) to 1,133 bits against 42.
+    with open(os.path.join(INPUTS, f"m{m}_d{d}.txt")) as fh:
+        gens = [poly_from_text(line, nvars=d) for line in fh.read().splitlines()]
+    calls = _input_reductions(gens, e_weights(d))
+    assert calls == [True] * len(gens) + [False] * (len(calls) - len(gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideals())
+def test_no_input_is_reduced_after_a_pair(case):
+    gens, weights = case
+    calls = _input_reductions(gens, weights)
+    inputs = sum(not g.is_zero() for g in gens)
+    assert calls == [True] * inputs + [False] * (len(calls) - inputs)
 
 
 @st.composite
@@ -655,11 +700,6 @@ def test_minimal_subset_equals_restart_loop_in_any_order(md, data):
     assert subset == oracle_minimal_generator_subset(gens, e_weights(d))
 
 
-def _is_sublist(short, long):
-    rest = iter(long)
-    return all(any(g == h for h in rest) for g in short)
-
-
 @pytest.mark.parametrize("m,d", SUBSET_GRID)
 def test_minimal_subset_runs_one_basis_per_degree(monkeypatch, m, d):
     gens = kernel_ideal_generators(d, m)
@@ -667,17 +707,26 @@ def test_minimal_subset_runs_one_basis_per_degree(monkeypatch, m, d):
     calls = []
     original = nchilb.presentation.buchberger
 
-    def counted(polys, weights):
-        calls.append(list(polys))
-        return original(polys, weights)
+    def counted(polys, weights, *, max_deg=None, start=None):
+        gb = original(polys, weights, max_deg=max_deg, start=start)
+        calls.append((list(polys), max_deg, start, gb))
+        return gb
 
     monkeypatch.setattr(nchilb.presentation, "buchberger", counted)
     subset = minimal_generator_subset(gens, weights)
     degrees = {g.weighted_degree(weights) for g in gens}
     assert len(calls) <= len(degrees) - 1
     assert len(calls) < len(gens)
-    # each basis is built from kept generators only
-    assert all(_is_sublist(polys, subset) for polys in calls)
+    # one basis for each degree block above the lowest kept degree, truncated at
+    # it, each resuming the run of the one before
+    lowest = min(g.weighted_degree(weights) for g in subset)
+    assert [k for _, k, _, _ in calls] == sorted(k for k in degrees if k > lowest)
+    assert [start for _, _, start, _ in calls] == [None] + [gb for _, _, _, gb in calls[:-1]]
+    # each adds the generators kept in the block before it
+    below = sorted(degrees)
+    for polys, k, _, _ in calls:
+        previous = below[below.index(k) - 1]
+        assert polys == [g for g in subset if g.weighted_degree(weights) == previous]
 
 
 def _monomials_of_degree(weights, degree):
@@ -726,6 +775,113 @@ def test_minimal_subset_of_planted_redundancy_equals_restart_loop(case):
     weights, gens = case
     subset = minimal_generator_subset(gens, weights)
     assert subset == oracle_minimal_generator_subset(gens, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_generators())
+def test_truncated_basis_gives_the_normal_forms_up_to_its_degree(case):
+    weights, gens = case
+    with time_limit():
+        full = buchberger(gens, weights)
+        # every degree, so that a pair exactly at the truncation degree is met
+        for max_deg in range(9):
+            truncated = buchberger(gens, weights, max_deg=max_deg)
+            assert truncated.max_deg == max_deg and full.max_deg is None
+            # the members of the reduced basis up to max_deg, no more
+            low = tuple(p for p in full.polys if p.weighted_degree(weights) <= max_deg)
+            assert truncated.polys == low
+            for degree in range(max_deg + 1):
+                for exp in _monomials_of_degree(weights, degree):
+                    x = SparsePoly.monomial(len(weights), exp)
+                    assert normal_form(x, truncated) == normal_form(x, full)
+
+
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_generators(), st.integers(0, 5))
+def test_truncated_basis_refuses_what_it_cannot_answer(case, max_deg):
+    weights, gens = case
+    gb = buchberger(gens, weights, max_deg=max_deg)
+    n = len(weights)
+    above = SparsePoly.monomial(n, (0,) * (n - 1) + (max_deg // weights[-1] + 1,))
+    for query in (
+        lambda: normal_form(above, gb),
+        lambda: gb.contains(above),
+        gb.is_finite_dimensional,
+        gb.standard_monomials,
+        gb.quotient_dimension,
+        lambda: gb.hilbert_function(max_deg),
+        lambda: ideal_equals(gb, buchberger(gens, weights)),
+        lambda: ideal_equals(buchberger(gens, weights), gb),
+    ):
+        with pytest.raises(ValueError, match="truncated at weighted degree"):
+            query()
+    # a polynomial with a term above max_deg is refused however low its other terms
+    with pytest.raises(ValueError, match="truncated at weighted degree"):
+        normal_form(above + SparsePoly.const(n, 1), gb)
+    # and the generators must be weighted-homogeneous
+    with pytest.raises(ValueError, match="weighted-homogeneous"):
+        buchberger(gens + [above + SparsePoly.const(n, 1)], weights, max_deg=max_deg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_generators(), st.data())
+def test_resumed_run_equals_run_from_scratch(case, data):
+    weights, gens = case
+    split = data.draw(st.integers(1, len(gens)))
+    first, later = gens[:split], gens[split:]
+    with time_limit(20):
+        for low in range(7):
+            start = buchberger(first, weights, max_deg=low)
+            before = (start.polys, list(start._run.queue))
+            # start's members stand for its generators up to its degree
+            kept = [g for g in first if g.weighted_degree(weights) <= low]
+            for high in range(low, low + 3):
+                resumed = buchberger(later, weights, max_deg=high, start=start)
+                assert resumed.max_deg == high
+                if kept or later:
+                    assert resumed.polys == buchberger(kept + later, weights, max_deg=high).polys
+                else:
+                    assert resumed.polys == ()
+                # the start basis and its run are left as they were
+                assert (start.polys, list(start._run.queue)) == before
+
+
+def test_resume_refuses_what_it_cannot_extend():
+    x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    start = buchberger([x * y], (1, 1), max_deg=2)
+    with pytest.raises(ValueError, match="at least start's 2, got 1"):
+        buchberger([x], (1, 1), max_deg=1, start=start)
+    with pytest.raises(ValueError, match="at least start's 2, got None"):
+        buchberger([x], (1, 1), start=start)
+    with pytest.raises(ValueError, match="differ from start's"):
+        buchberger([x], (1, 2), max_deg=3, start=start)
+    with pytest.raises(ValueError, match="disagree on variable count"):
+        buchberger([SparsePoly.variable(3, 0)], (1, 1), max_deg=3, start=start)
+    for whole in (buchberger([x * y], (1, 1)), GroebnerBasis(2, (1, 1), (x * y,))):
+        with pytest.raises(ValueError, match="start must be a truncated basis from buchberger"):
+            buchberger([x], (1, 1), max_deg=3, start=whole)
+    # no new generators: the run only goes on to the higher degree
+    assert buchberger([], (1, 1), max_deg=4, start=start).polys == (x * y,)
+    # and takes up the pair it held back there: y(x^2 - y^2) - x(xy) = -y^3
+    start = buchberger([x * y, x**2 - y**2], (1, 1), max_deg=2)
+    assert start.polys == (x * y, x**2 - y**2)
+    assert buchberger([], (1, 1), max_deg=3, start=start).polys == (x * y, x**2 - y**2, y**3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ideals(), homogeneous_generators().map(lambda case: (case[1], case[0]))))
+def test_polys_built_on_first_read_are_the_packed_members(case):
+    gens, weights = case
+    with time_limit():
+        gb = buchberger(gens, weights)
+    rebuilt = GroebnerBasis(gb.nvars, weights, gb.polys)
+    assert rebuilt.polys == gb.polys
+    # the packed members were primitive with positive heads, as rebuilding makes them
+    packed, again = gb._heads, rebuilt._heads
+    assert (packed.leads, packed.coefs, packed.tails) == (again.leads, again.coefs, again.tails)
+    for p in gb.polys:
+        assert all(type(c) is QQ for c in p.terms.values())
+        assert p.terms[max(p.terms, key=lambda exp: oracle_order_key(exp, weights))] == 1
 
 
 @pytest.mark.parametrize("m,d", [(m, d) for m in range(5) for d in range(1, 5)])
