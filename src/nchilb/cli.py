@@ -107,7 +107,7 @@ def cmd_forests_enum(args):
 
 
 def cmd_forests_count(args):
-    count = len(enumerate_forests(args.m, args.d, args.n))
+    count = sum(poincare_polynomial(args.m, args.d, args.n))
     _emit(args, lambda: {"count": count}, lambda: print(count))
     return 0
 
@@ -190,12 +190,16 @@ def cmd_coha_forbidden(args):
 
 def cmd_coha_relations(args):
     gens = kernel_generators(args.d, args.m)
-
-    def render():
+    if args.format == "json":
+        # json.dumps(gens as a list, indent=2), holding one generator's terms at a time
+        opener = "["
+        for g in gens:
+            print(opener, json.dumps(g.to_json(), indent=2).replace("\n", "\n  "), sep="\n  ", end="")
+            opener = ","
+        print("[]" if opener == "[" else "\n]")
+    else:
         for g in gens:
             print(f"d={g.d}:", poly_to_text(g.poly))
-
-    _emit(args, lambda: [g.to_json() for g in gens], render)
     return 0
 
 
@@ -411,8 +415,63 @@ M = _int("--m", 0, required=True, help="number of loops, the forests' alphabet s
 FOREST_SHAPE = (M, _d(0), _int("--n", 1, default=1, help="number of roots"))
 SEED_TRIALS = (_int("--seed", default=0), _int("--trials", 1, default=5))
 
+# (group, summary, commands), each command (name, function, options)
+GROUPS = (
+    ("forests", "m-ary forest combinatorics", (
+        ("enum", cmd_forests_enum, FOREST_SHAPE),
+        ("count", cmd_forests_count, FOREST_SHAPE),
+        ("poincare", cmd_forests_poincare,
+         (*FOREST_SHAPE, _opt("--by", choices=("dim", "codim"), default="dim"))),
+        ("bijection", cmd_forests_bijection, FOREST_SHAPE),
+    )),
+    ("coha", "shuffle-product algebra", (
+        ("mul", cmd_coha_mul,
+         (M, _opt("--left", required=True, help="left factor, text grammar in x-variables"),
+          _int("--left-arity", 0, required=True), _opt("--right", required=True),
+          _int("--right-arity", 0, required=True))),
+        ("psi", cmd_coha_psi, (_int("--k", 0, required=True),)),
+        ("psi-product", cmd_coha_psi_product,
+         (M, _opt("--ks", type=_int_list, required=True, help="comma-separated indices"))),
+        ("forbidden", cmd_coha_forbidden, (M, _d(None), _int("--p", required=True))),
+        ("relations", cmd_coha_relations, (M, _d(1))),
+    )),
+    ("chow", "quotient-ring presentations", (
+        ("presentation", cmd_chow_presentation,
+         (M, _d(1), _opt("--minimal", action="store_true",
+                         help="also report a minimal generator subset"))),
+        ("hilbert", cmd_chow_hilbert, (M, _d(1), _int("--max-deg", 0, default=None))),
+        ("verify", cmd_chow_verify, (M, _d(1))),
+        ("multiplicity", cmd_chow_multiplicity,
+         (_int("--vars", required=True, help="total variable count"),
+          _int("--local", 0, default=2, help="leading local variables"),
+          _opt("--poly", action="append", required=True, help="repeatable polynomial input"),
+          *SEED_TRIALS)),
+    )),
+)
 
-def build_parser():
+
+def _add_options(p, func, options):
+    """Give the command parser `p` FORMAT and `options`, and what `main` dispatches on."""
+    bounds = []
+    for flag, low, spec in (FORMAT, *options):
+        dest = p.add_argument(flag, **spec).dest
+        if low is not None:
+            bounds.append((flag, dest, low))
+    p.set_defaults(func=func, parser=p, bounds=bounds)
+
+
+def build_parser(argv=None):
+    """The `nchilb` parser: for every command, or only as far as `argv` reaches.
+
+    No top- or group-level option takes a value, so argparse takes the
+    group from the first argument that does not start with "-" and the
+    command from the next such argument.  Every group name is added (the
+    top-level usage lists them), but only the named group gets commands
+    and only the named command gets options.  A command named right after
+    its group leaves the group nothing to print, so its siblings are left
+    out; otherwise they are added, for the group's help and errors.
+    """
+    names = None if argv is None else [a for a in argv if not a.startswith("-")]
     parser = argparse.ArgumentParser(
         prog="nchilb",
         description="Exact combinatorics and algebra of Chow rings of "
@@ -420,54 +479,32 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def group(name, summary):
-        return sub.add_parser(name, help=summary).add_subparsers(dest="subcommand", required=True)
-
-    def command(parent, name, func, *options, **kwargs):
-        p = parent.add_parser(name, **kwargs)
-        bounds = []
-        for flag, low, spec in (FORMAT, *options):
-            dest = p.add_argument(flag, **spec).dest
-            if low is not None:
-                bounds.append((flag, dest, low))
-        p.set_defaults(func=func, parser=p, bounds=bounds)
-
-    forests = group("forests", "m-ary forest combinatorics")
-    command(forests, "enum", cmd_forests_enum, *FOREST_SHAPE)
-    command(forests, "count", cmd_forests_count, *FOREST_SHAPE)
-    by = _opt("--by", choices=("dim", "codim"), default="dim")
-    command(forests, "poincare", cmd_forests_poincare, *FOREST_SHAPE, by)
-    command(forests, "bijection", cmd_forests_bijection, *FOREST_SHAPE)
-
-    coha = group("coha", "shuffle-product algebra")
-    left = _opt("--left", required=True, help="left factor, text grammar in x-variables")
-    command(coha, "mul", cmd_coha_mul, M, left, _int("--left-arity", 0, required=True),
-            _opt("--right", required=True), _int("--right-arity", 0, required=True))
-    command(coha, "psi", cmd_coha_psi, _int("--k", 0, required=True))
-    ks = _opt("--ks", type=_int_list, required=True, help="comma-separated indices")
-    command(coha, "psi-product", cmd_coha_psi_product, M, ks)
-    command(coha, "forbidden", cmd_coha_forbidden, M, _d(None), _int("--p", required=True))
-    command(coha, "relations", cmd_coha_relations, M, _d(1))
-
-    chow = group("chow", "quotient-ring presentations")
-    minimal = _opt("--minimal", action="store_true", help="also report a minimal generator subset")
-    command(chow, "presentation", cmd_chow_presentation, M, _d(1), minimal)
-    command(chow, "hilbert", cmd_chow_hilbert, M, _d(1), _int("--max-deg", 0, default=None))
-    command(chow, "verify", cmd_chow_verify, M, _d(1))
-    command(chow, "multiplicity", cmd_chow_multiplicity,
-            _int("--vars", required=True, help="total variable count"),
-            _int("--local", 0, default=2, help="leading local variables"),
-            _opt("--poly", action="append", required=True, help="repeatable polynomial input"),
-            *SEED_TRIALS)
-
-    command(sub, "paper-example", cmd_paper_example, *SEED_TRIALS,
-            help="replay the worked m=2, d=3, n=1 pipeline and verify every pinned value")
+    for group, summary, commands in GROUPS:
+        p = sub.add_parser(group, help=summary)
+        if names is not None and names[:1] != [group]:
+            continue
+        subs = p.add_subparsers(dest="subcommand", required=True)
+        chosen = None if names is None else (names + [None])[1]
+        alone = chosen in {c[0] for c in commands} and argv[argv.index(group) + 1] == chosen
+        for name, func, options in commands:
+            if alone and name != chosen:
+                continue
+            q = subs.add_parser(name)
+            if names is None or name == chosen:
+                _add_options(q, func, options)
+    p = sub.add_parser(
+        "paper-example",
+        help="replay the worked m=2, d=3, n=1 pipeline and verify every pinned value",
+    )
+    if names is None or names[:1] == ["paper-example"]:
+        _add_options(p, cmd_paper_example, SEED_TRIALS)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     for flag, dest, low in args.bounds:
         value = getattr(args, dest)
         if value is not None and value < low:

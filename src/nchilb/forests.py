@@ -1,4 +1,4 @@
-"""m-ary forests: enumeration, orderings, critical pairs and index bijections.
+"""m-ary forests: enumeration, orderings, critical pairs, the census and index bijections.
 
 A tree is a finite prefix-closed set of words over the alphabet {1,..,m};
 a forest is an ordered n-tuple of trees.  Words, trees and forests carry
@@ -14,39 +14,27 @@ child 1, then those below its child 2, and so on.  One stack walk in that
 order visits every child slot of a tree; the empty slots are the critical
 pairs, in pair order, each right after the j elements below it.  The same
 walk, driven by a J-tuple's element/critical flags, parses it back.
+
+The census of d(S) builds no forest: a tree with s nodes has (m-1)s + 1
+empty slots, and in the i-th subtree of a root (i-th tree of a forest) each
+slot's j is its j in the subtree plus k = 1 (0) + the nodes of the earlier
+subtrees, so counts by d(S) sum products of subtree counts shifted by k * slots.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 
 __all__ = [
-    "Word",
-    "Tree",
-    "Forest",
-    "CriticalPair",
-    "word_from_string",
-    "word_to_string",
-    "compare_words",
-    "compare_forests",
-    "enumerate_trees",
-    "enumerate_forests",
-    "critical_pairs",
-    "j_index",
-    "d_value",
-    "codim",
-    "ambient_dimension",
-    "poincare_polynomial",
-    "forest_to_jtuple",
-    "jtuple_to_forest",
-    "jtuple_to_btuple",
-    "btuple_to_jtuple",
-    "is_valid_jtuple",
-    "is_valid_btuple",
-    "enumerate_jtuples",
-    "enumerate_btuples",
-    "check_digit_alphabet",
-    "forest_to_json",
-    "forest_from_json",
+    # words, trees, forests and their orders
+    "Word", "Tree", "Forest", "CriticalPair", "word_from_string", "word_to_string",
+    "compare_words", "compare_forests", "enumerate_trees", "enumerate_forests",
+    # the cell statistic and its census
+    "critical_pairs", "j_index", "d_value", "codim", "ambient_dimension", "poincare_polynomial",
+    # the bijections forests -> J-tuples -> B-tuples
+    "forest_to_jtuple", "jtuple_to_forest", "jtuple_to_btuple", "btuple_to_jtuple",
+    "is_valid_jtuple", "is_valid_btuple", "enumerate_jtuples", "enumerate_btuples",
+    # JSON encoding
+    "check_digit_alphabet", "forest_to_json", "forest_from_json",
 ]
 
 # A word is a tuple of letters from {1,..,m}; () is the empty word.
@@ -159,8 +147,7 @@ def compare_forests(f1, f2):
     """-1, 0 or 1 under the forest order (same m and n required)."""
     if (f1.m, f1.n) != (f2.m, f2.n):
         raise ValueError("forests must share m and n")
-    k1, k2 = f1.sort_key(), f2.sort_key()
-    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
+    return compare_words(f1.sort_key(), f2.sort_key())
 
 
 def _check_sizes(m, d, n):
@@ -279,17 +266,39 @@ def poincare_polynomial(m, d, n, by="dim"):
     """Coefficient list of sum_S t^{d_value(S)} (by="dim") or t^{codim(S)} (by="codim").
 
     Entry i is the number of forests with statistic i; the list is empty
-    only when there are no forests at all.
+    only when there are no forests at all, and it ends in a nonzero entry.
     """
     if by not in ("dim", "codim"):
         raise ValueError("by must be 'dim' or 'codim'")
-    stat = d_value if by == "dim" else codim
-    values = [stat(forest) for forest in enumerate_forests(m, d, n)]
-    if not values:
-        return []
-    coeffs = [0] * (max(values) + 1)
-    for v in values:
-        coeffs[v] += 1
+    _check_sizes(m, d, n)
+
+    def join(row, c, lead):
+        """The list of the tuples in row[c - s] followed by a tree of s nodes, over all s."""
+        acc = []
+        for s in range(c + 1):
+            left, tree = row[c - s], trees[s]
+            if left and tree:
+                shift = ((m - 1) * s + 1) * (lead + c - s)
+                acc.extend([0] * (shift + len(left) + len(tree) - 1 - len(acc)))
+                for i, a in enumerate(left, shift):
+                    for k, b in enumerate(tree, i):
+                        acc[k] += a * b
+        return acc
+
+    trees = [[1]]  # trees[s]: the list of the trees with s nodes
+    kids = [[[1]] + [[]] * d] + [[] for _ in range(m)]  # kids[i][c]: i subtrees, c nodes
+    for c in range(d):
+        for i in range(1, m + 1):
+            kids[i].append(join(kids[i - 1], c, 1))
+        trees.append(kids[m][c])
+    row = kids[0]
+    for _ in range(n):
+        row = [join(row, c, 0) for c in range(d + 1)]
+    coeffs = row[d]
+    if by == "codim":
+        coeffs = [0] * (ambient_dimension(m, d, n) + 1 - len(coeffs)) + coeffs[::-1]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
     return coeffs
 
 
@@ -356,21 +365,12 @@ def is_valid_btuple(b, m, d, n):
 
 
 def enumerate_btuples(m, d, n):
-    """All members of the B-tuple set, in lexicographic order."""
+    """All B-tuples (b_0 + .. + b_i < (m-1)i + n for every i), in lexicographic order."""
     _check_sizes(m, d, n)
-    out = []
-
-    def gen(prefix, partial):
-        i = len(prefix)
-        if i == d:
-            out.append(tuple(prefix))
-            return
-        bound = (m - 1) * i + n - partial  # strict upper bound on b_i + past sum
-        for v in range(max(bound, 0)):
-            gen(prefix + [v], partial + v)
-
-    gen([], 0)
-    return out
+    tuples = [()]
+    for i in range(d):
+        tuples = [b + (v,) for b in tuples for v in range((m - 1) * i + n - sum(b))]
+    return tuples
 
 
 def jtuple_to_forest(values, m, d, n):

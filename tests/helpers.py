@@ -7,8 +7,9 @@ every permutation, then long division by the discriminant), critical pairs
 from their definition (the one-letter extensions that a tree does not store,
 sorted), j-indices and d-values from pair-by-pair counts over those pairs,
 forests from every composition of d into n tree sizes, the product of the
-tree sets, and one sort by the forest key, and random polynomials from
-seeded generators.
+tree sets, and one sort by the forest key, the census of d-values and
+codimensions from every enumerated forest, walked one at a time, and
+random polynomials from seeded generators.
 The symmetry check, the change to e-coordinates in both directions and
 the kernel generators have slow x-space oracles here, computed term by
 term over all variables.
@@ -30,7 +31,7 @@ import random
 import signal
 from fractions import Fraction
 
-from nchilb.forests import Forest, Tree
+from nchilb.forests import Forest, Tree, codim, d_value, enumerate_forests
 from nchilb.polynomial import (
     SparsePoly,
     discriminant,
@@ -139,6 +140,18 @@ def jtuple_oracle(forest):
             for k2, w2 in oracle_critical_pairs(forest)
         )
     )
+
+
+def oracle_poincare_polynomial(m, d, n, by="dim"):
+    """Counts of d_value (by="dim") or codim (by="codim") over every enumerated forest."""
+    stat = d_value if by == "dim" else codim
+    values = [stat(forest) for forest in enumerate_forests(m, d, n)]
+    if not values:
+        return []
+    coeffs = [0] * (max(values) + 1)
+    for v in values:
+        coeffs[v] += 1
+    return coeffs
 
 
 def conjugate_partition(lam):

@@ -29,13 +29,15 @@ from nchilb.forests import (
     word_from_string,
 )
 
-from helpers import d_value_oracle, forest_count_oracle
+from helpers import d_value_oracle, forest_count_oracle, oracle_poincare_polynomial
 
 W = word_from_string
 
 GRID = [
     (m, d, n) for m in range(4) for d in range(5) for n in (1, 2)
 ]
+# GRID and more: every m <= 4, d <= 6, n <= 3
+CENSUS_GRID = [(m, d, n) for m in range(5) for d in range(7) for n in (1, 2, 3)]
 
 
 def forest(m, n, *trees):
@@ -258,6 +260,28 @@ def test_poincare_trivial_cases():
     assert poincare_polynomial(0, 2, 1) == []
 
 
+@pytest.mark.parametrize("m,d,n", CENSUS_GRID)
+def test_poincare_equals_the_forest_by_forest_census(m, d, n):
+    for by in ("dim", "codim"):
+        assert poincare_polynomial(m, d, n, by=by) == oracle_poincare_polynomial(m, d, n, by)
+
+
+def _btuple_weight_census(m, d, n):
+    counts = {}
+    for b in enumerate_btuples(m, d, n):
+        weight = sum(k * b[d - k] for k in range(1, d + 1))
+        counts[weight] = counts.get(weight, 0) + 1
+    return [counts.get(w, 0) for w in range(max(counts, default=-1) + 1)]
+
+
+@pytest.mark.parametrize(
+    "m,d,n", [(3, 7, 1), (4, 7, 1), (2, 9, 1), (2, 5, 2), (3, 4, 2), (4, 4, 2), (2, 6, 2)]
+)
+def test_codim_census_equals_btuple_weights_past_the_enumeration(m, d, n):
+    # the B-tuple bijection, checked where enumerating forests would be slow
+    assert poincare_polynomial(m, d, n, by="codim") == _btuple_weight_census(m, d, n)
+
+
 def test_poincare_2_2_1():
     # both forests by hand: {e,1} has all three j-indices 2, {e,2} has 1, 2, 2
     expected = [d_value_oracle(f) for f in enumerate_forests(2, 2, 1)]
@@ -328,14 +352,7 @@ def test_btuple_count_matches_forest_count(m, d, n):
 
 @pytest.mark.parametrize("m,d,n", GRID)
 def test_codim_census_equals_btuple_weights(m, d, n):
-    by_codim = {}
-    for f in enumerate_forests(m, d, n):
-        by_codim[codim(f)] = by_codim.get(codim(f), 0) + 1
-    by_weight = {}
-    for b in enumerate_btuples(m, d, n):
-        weight = sum(k * b[d - k] for k in range(1, d + 1))
-        by_weight[weight] = by_weight.get(weight, 0) + 1
-    assert by_codim == by_weight
+    assert oracle_poincare_polynomial(m, d, n, by="codim") == _btuple_weight_census(m, d, n)
 
 
 def test_jtuple_to_forest_rejects_invalid():

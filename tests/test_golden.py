@@ -30,6 +30,22 @@ GOLDEN = [
         ["chow", "hilbert", "--format", "json", "--m", "2", "--d", "5"],
     ),
     ("paper_example.json", ["paper-example", "--format", "json"]),
+    *(
+        (
+            f"forests_poincare_{by}_m{m}_d{d}_n{n}.json",
+            ["forests", "poincare", "--format", "json", "--by", by]
+            + ["--m", str(m), "--d", str(d), "--n", str(n)],
+        )
+        for m, d, n in [(2, 5, 1), (3, 4, 2), (4, 5, 1)]
+        for by in ("dim", "codim")
+    ),
+    *(
+        (
+            f"forests_count_m{m}_d{d}_n{n}.json",
+            ["forests", "count", "--format", "json", "--m", str(m), "--d", str(d), "--n", str(n)],
+        )
+        for m, d, n in [(2, 5, 1), (3, 4, 2), (4, 5, 1)]
+    ),
     (
         "coha_relations_m2_d4.json",
         ["coha", "relations", "--m", "2", "--d", "4", "--format", "json"],

@@ -121,6 +121,19 @@ def test_poincare_match(m, d):
     assert verify_poincare_match(m, d)
 
 
+def _no_forest_walk(*_args, **_kwargs):
+    raise AssertionError("the census built or walked a forest")
+
+
+@pytest.mark.parametrize("m,d", [(2, 4), (3, 3)])
+def test_chow_verify_builds_and_walks_no_forest(capsys, monkeypatch, m, d):
+    for name in ("nchilb.forests.enumerate_forests", "nchilb.forests._critical_walk",
+                 "nchilb.cli.enumerate_forests"):
+        monkeypatch.setattr(name, _no_forest_walk)
+    assert main(["chow", "verify", "--m", str(m), "--d", str(d), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"chern_basis": True, "poincare_match": True}
+
+
 def test_chow_verify_passes_at_the_m2_frontier(capsys):
     # (2, 7): 127 kernel generators; the quotient dimension is the
     # Fuss-Catalan number binom(2 * 7, 7) / (7 + 1) = 429.  A correct run
