@@ -460,18 +460,17 @@ def _add_options(p, func, options):
     p.set_defaults(func=func, parser=p, bounds=bounds)
 
 
-def build_parser(argv=None):
-    """The `nchilb` parser: for every command, or only as far as `argv` reaches.
+def build_parser(argv):
+    """The `nchilb` parser, built only as far as `argv` reaches.
 
     No top- or group-level option takes a value, so argparse takes the
     group from the first argument that does not start with "-" and the
     command from the next such argument.  Every group name is added (the
-    top-level usage lists them), but only the named group gets commands
-    and only the named command gets options.  A command named right after
-    its group leaves the group nothing to print, so its siblings are left
-    out; otherwise they are added, for the group's help and errors.
+    top-level usage lists them), and the named group gets all its command
+    names (its help and errors list them), but only the named command gets
+    options.
     """
-    names = None if argv is None else [a for a in argv if not a.startswith("-")]
+    names = [a for a in argv if not a.startswith("-")] + [None, None]
     parser = argparse.ArgumentParser(
         prog="nchilb",
         description="Exact combinatorics and algebra of Chow rings of "
@@ -481,22 +480,17 @@ def build_parser(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     for group, summary, commands in GROUPS:
         p = sub.add_parser(group, help=summary)
-        if names is not None and names[:1] != [group]:
-            continue
-        subs = p.add_subparsers(dest="subcommand", required=True)
-        chosen = None if names is None else (names + [None])[1]
-        alone = chosen in {c[0] for c in commands} and argv[argv.index(group) + 1] == chosen
-        for name, func, options in commands:
-            if alone and name != chosen:
-                continue
-            q = subs.add_parser(name)
-            if names is None or name == chosen:
-                _add_options(q, func, options)
+        if names[0] == group:
+            subs = p.add_subparsers(dest="subcommand", required=True)
+            for name, func, options in commands:
+                q = subs.add_parser(name)
+                if names[1] == name:
+                    _add_options(q, func, options)
     p = sub.add_parser(
         "paper-example",
         help="replay the worked m=2, d=3, n=1 pipeline and verify every pinned value",
     )
-    if names is None or names[:1] == ["paper-example"]:
+    if names[0] == "paper-example":
         _add_options(p, cmd_paper_example, SEED_TRIALS)
     return parser
 

@@ -25,16 +25,33 @@ from collections import namedtuple
 from functools import lru_cache
 
 __all__ = [
-    # words, trees, forests and their orders
-    "Word", "Tree", "Forest", "CriticalPair", "word_from_string", "word_to_string",
-    "compare_words", "compare_forests", "enumerate_trees", "enumerate_forests",
-    # the cell statistic and its census
-    "critical_pairs", "j_index", "d_value", "codim", "ambient_dimension", "poincare_polynomial",
-    # the bijections forests -> J-tuples -> B-tuples
-    "forest_to_jtuple", "jtuple_to_forest", "jtuple_to_btuple", "btuple_to_jtuple",
-    "is_valid_jtuple", "is_valid_btuple", "enumerate_jtuples", "enumerate_btuples",
-    # JSON encoding
-    "check_digit_alphabet", "forest_to_json", "forest_from_json",
+    "Word",
+    "Tree",
+    "Forest",
+    "CriticalPair",
+    "word_from_string",
+    "word_to_string",
+    "compare_words",
+    "compare_forests",
+    "enumerate_trees",
+    "enumerate_forests",
+    "critical_pairs",
+    "j_index",
+    "d_value",
+    "codim",
+    "ambient_dimension",
+    "poincare_polynomial",
+    "forest_to_jtuple",
+    "jtuple_to_forest",
+    "jtuple_to_btuple",
+    "btuple_to_jtuple",
+    "is_valid_jtuple",
+    "is_valid_btuple",
+    "enumerate_jtuples",
+    "enumerate_btuples",
+    "check_digit_alphabet",
+    "forest_to_json",
+    "forest_from_json",
 ]
 
 # A word is a tuple of letters from {1,..,m}; () is the empty word.
@@ -147,7 +164,8 @@ def compare_forests(f1, f2):
     """-1, 0 or 1 under the forest order (same m and n required)."""
     if (f1.m, f1.n) != (f2.m, f2.n):
         raise ValueError("forests must share m and n")
-    return compare_words(f1.sort_key(), f2.sort_key())
+    k1, k2 = f1.sort_key(), f2.sort_key()
+    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
 
 
 def _check_sizes(m, d, n):
@@ -273,20 +291,17 @@ def poincare_polynomial(m, d, n, by="dim"):
     _check_sizes(m, d, n)
 
     def join(row, c, lead):
-        """The list of the tuples in row[c - s] followed by a tree of s nodes, over all s."""
-        acc = []
+        """{d: count} of the tuples in row[c - s] followed by a tree of s nodes, over all s."""
+        acc = {}
         for s in range(c + 1):
-            left, tree = row[c - s], trees[s]
-            if left and tree:
-                shift = ((m - 1) * s + 1) * (lead + c - s)
-                acc.extend([0] * (shift + len(left) + len(tree) - 1 - len(acc)))
-                for i, a in enumerate(left, shift):
-                    for k, b in enumerate(tree, i):
-                        acc[k] += a * b
+            shift = ((m - 1) * s + 1) * (lead + c - s)  # slots of the tree times k
+            for i, a in row[c - s].items():
+                for k, b in trees[s].items():
+                    acc[i + k + shift] = acc.get(i + k + shift, 0) + a * b
         return acc
 
-    trees = [[1]]  # trees[s]: the list of the trees with s nodes
-    kids = [[[1]] + [[]] * d] + [[] for _ in range(m)]  # kids[i][c]: i subtrees, c nodes
+    trees = [{0: 1}]  # trees[s]: {d: count} of the trees with s nodes
+    kids = [[{0: 1}] + [{}] * d] + [[] for _ in range(m)]  # kids[i][c]: i subtrees, c nodes
     for c in range(d):
         for i in range(1, m + 1):
             kids[i].append(join(kids[i - 1], c, 1))
@@ -294,12 +309,9 @@ def poincare_polynomial(m, d, n, by="dim"):
     row = kids[0]
     for _ in range(n):
         row = [join(row, c, 0) for c in range(d + 1)]
-    coeffs = row[d]
-    if by == "codim":
-        coeffs = [0] * (ambient_dimension(m, d, n) + 1 - len(coeffs)) + coeffs[::-1]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-    return coeffs
+    top = ambient_dimension(m, d, n)
+    counts = {top - v if by == "codim" else v: count for v, count in row[d].items()}
+    return [counts.get(v, 0) for v in range(max(counts, default=-1) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +377,21 @@ def is_valid_btuple(b, m, d, n):
 
 
 def enumerate_btuples(m, d, n):
-    """All B-tuples (b_0 + .. + b_i < (m-1)i + n for every i), in lexicographic order."""
+    """All members of the B-tuple set, in lexicographic order."""
     _check_sizes(m, d, n)
-    tuples = [()]
-    for i in range(d):
-        tuples = [b + (v,) for b in tuples for v in range((m - 1) * i + n - sum(b))]
-    return tuples
+    out = []
+
+    def gen(prefix, partial):
+        i = len(prefix)
+        if i == d:
+            out.append(tuple(prefix))
+            return
+        bound = (m - 1) * i + n - partial  # strict upper bound on b_i + past sum
+        for v in range(max(bound, 0)):
+            gen(prefix + [v], partial + v)
+
+    gen([], 0)
+    return out
 
 
 def jtuple_to_forest(values, m, d, n):

@@ -191,7 +191,8 @@ def test_bounds_table_lists_every_declared_bound():
     for path, args, flag, low in BOUNDS:
         table.setdefault(tuple(path), (args, set()))[1].add((flag, low))
     for path, (args, rows) in table.items():
-        declared = build_parser().parse_args(list(path) + args).bounds
+        argv = list(path) + args
+        declared = build_parser(argv).parse_args(argv).bounds
         assert {(flag, low) for flag, _, low in declared} == rows
 
 
