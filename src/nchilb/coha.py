@@ -7,7 +7,9 @@ times the interaction kernel prod (x_j - x_i)^(m-1).  An element keeps its
 polynomial on partitions, as a SymmetricPoly (integer monomial-symmetric
 coefficients over one denominator), and one partition core computes every
 product from a single block term instead of C(d, p) shuffles.  For m >= 1
-the block term times the kernel is summed per sorted exponent.  For m = 0,
+the block term times the kernel is summed per sorted exponent; the kernel
+power is only ever formed on its block-sorted exponents, as a product
+over the first block of one polynomial in the second.  For m = 0,
 where the kernel is a denominator, the block term times a staircase
 monomial in each block is antisymmetrized.  The x-space polynomial of an
 element is expanded on each read, and no copy of it is kept.
@@ -18,6 +20,7 @@ g = 1, which present the quotient rings downstream; on that path no
 generator is ever expanded into x-space.
 """
 
+import itertools
 import math
 import sys
 from array import array
@@ -32,7 +35,6 @@ from .polynomial import (
     _orbit_size,
     _stabilizer_order,
     elementary_symmetric,
-    is_partition,
     is_symmetric,
     partitions_in_box,
     poly_from_json,
@@ -108,29 +110,11 @@ class CohaElement:
         return cls(obj["d"], poly_from_json(obj["poly"]))
 
 
-def _mul_int(a, b):
-    """Product of two polynomials given as maps from exponents to integers."""
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            exp = tuple(x + y for x, y in zip(e1, e2))
-            out[exp] = out.get(exp, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
 def _kernel_power(p, q, power):
-    """prod_{i<=p<j} (x_j - x_i)^power in p + q variables, integer coefficients."""
-    d = p + q
-    kernel = {(0,) * d: 1}
-    for i in range(p):
-        for j in range(p, d):
-            factor = {}
-            for k in range(power + 1):
-                exp = [0] * d
-                exp[i], exp[j] = power - k, k
-                factor[tuple(exp)] = (-1) ** (power - k) * math.comb(power, k)
-            kernel = _mul_int(kernel, factor)
-    return kernel
+    """prod_{i<=p<j} (x_j - x_i)^power as a SparsePoly in p + q variables."""
+    x = [SparsePoly.variable(p + q, i) for i in range(p + q)]
+    factors = ((x[j] - x[i]) ** power for i in range(p) for j in range(p, p + q))
+    return math.prod(factors, start=SparsePoly.const(p + q, 1))
 
 
 def _shuffle(base, p, q, m, denominator):
@@ -204,13 +188,35 @@ def _pack(exp):
 def _kernel_representatives(p, q, power):
     """The kernel power on its sorted-block exponents, weighted by S_p x S_q-orbit size.
 
+    The kernel is prod_{i<=p} R(x_i), R(t) = prod_{j>p} (x_j - t)^power =
+    sum_k r_k(x'') t^k, so x'^kappa has coefficient prod_i r_{kappa_i}(x'').
+    Only weakly decreasing kappa are walked, each product extending its
+    prefix's, and only its weakly decreasing x'' exponents are kept.
     Returned as (packed exponent, coefficient) pairs.
     """
-    return tuple(
-        (_pack(e), c * _orbit_size(e[:p]) * _orbit_size(e[p:]))
-        for e, c in _kernel_power(p, q, power).items()
-        if is_partition(e[:p]) and is_partition(e[p:])
-    )
+    r = [{} for _ in range(q * power + 1)]
+    for a in itertools.product(range(power + 1), repeat=q):
+        coef = (-1) ** sum(a) * math.prod(math.comb(power, b) for b in a)
+        r[sum(a)][_pack((0,) * p + tuple(power - b for b in a))] = coef
+    found = []
+
+    def walk(kappa, product):
+        if len(kappa) < p:
+            for k in range(kappa[-1] if kappa else q * power, -1, -1):
+                grown = {}
+                for k1, c1 in product.items():
+                    for k2, c2 in r[k].items():
+                        grown[k1 + k2] = grown.get(k1 + k2, 0) + c1 * c2
+                walk(kappa + (k,), {key: c for key, c in grown.items() if c})
+            return
+        base, weight = _pack(kappa + (0,) * q), _orbit_size(kappa)
+        for key, c in product.items():
+            nu = memoryview(key.to_bytes(8 * (p + q), sys.byteorder)).cast("Q")[p:]
+            if all(nu[i] >= nu[i + 1] for i in range(q - 1)):
+                found.append((base + key, c * weight * _orbit_size(tuple(nu))))
+
+    walk((), {0: 1})
+    return tuple(found)
 
 
 def _expanded(symmetric):
@@ -250,7 +256,7 @@ def forbidden_polynomial(p, d, m):
     """x_{p+1}..x_d times prod_{mu<=p<nu} (x_nu - x_mu)^m, in d variables."""
     if not 0 <= p < d:
         raise ValueError("need 0 <= p < d")
-    return _right_variables(p, d - p) * SparsePoly(d, _kernel_power(p, d - p, m))
+    return _right_variables(p, d - p) * _kernel_power(p, d - p, m)
 
 
 def _right_variables(p, q):

@@ -13,13 +13,17 @@ monomial symmetric functions by Kostka numbers.  Symmetry checks and the
 change of basis work on the coefficients of the sorted exponents, that is
 on partitions; SymmetricPoly holds a symmetric polynomial in that form,
 with integer coefficients over one denominator, and expands it into
-x-space only when asked, keeping no expanded copy.
+x-space only when asked, keeping no expanded copy.  The change of basis
+runs on partitions packed into ints, caching e-monomial rows without e_d.
 """
 
+import heapq
 import itertools
 import math
 import operator
 import re
+import struct
+from array import array
 from functools import lru_cache
 
 from .rationals import QQ
@@ -582,100 +586,140 @@ def partitions_in_box(rows, cols):
 # change of basis to elementary symmetric coordinates
 
 
-@lru_cache(maxsize=None)
-def _raise(part, k):
-    """m_part * e_k in monomial symmetric functions, as ((nu, coefficient), ..).
+def _width(top):
+    """Bits per packed part for parts up to `top`: a whole struct field, at most 64."""
+    for width in (8, 16, 32, 64):
+        if not top >> width:
+            return width
+    raise OverflowError(f"part {top} does not fit a 64-bit field of a packed partition")
 
-    `part` is a partition padded to the number of variables.  Raising any
-    j entries of one run of equal parts gives the same partition, so the
-    results are indexed by how many entries j_b each run b raises; raising
-    the first j_b keeps the tuple weakly decreasing.  The coefficient of nu
-    is the number of k-subsets S with sort(nu - 1_S) = part.  When run
-    b - 1 is exactly one higher than run b, the j_b raised entries equal
-    its unraised entries in nu, and S may take any j_b of them all:
-    binomial(j_b + unraised, j_b).
+
+@lru_cache(maxsize=None)
+def _layout(d, width):
+    """(struct, packed (1, .., 1)) for d big-endian parts: lex order is int order."""
+    codec = struct.Struct(f">{d}{'BHIQ'[(width // 8).bit_length() - 1]}")
+    return codec, int.from_bytes(codec.pack(*[1] * d), "big")
+
+
+def _unpack(key, d, width):
+    codec = _layout(d, width)[0]
+    return codec.unpack(key.to_bytes(codec.size, "big"))
+
+
+@lru_cache(maxsize=None)
+def _raise(key, k, d, width):
+    """m_mu * e_k on packed partitions as (nu, coefficients); rows share these nu.
+
+    Raising any j entries of one run of equal parts gives the same nu, so
+    each run b raises its first j_b.  The coefficient of nu counts the
+    k-subsets S with sort(nu - 1_S) = mu: when run b - 1 is exactly one
+    higher, S may take any j_b of the j_b + (its unraised) equal entries.
     """
+    part = _unpack(key, d, width)
     runs = _runs(part)
-    # (vector, coefficient, entries left to raise, unraised entries of the last run)
-    found = [(list(part), 1, k, 0)]
+    ones = _layout(d, width)[1]
+    found = [(0, 1, k, 0)]  # (delta, coefficient, entries left, unraised of the last run)
     for b, (start, length) in enumerate(runs):
         adjacent = b > 0 and part[runs[b - 1][0]] == part[start] + 1
-        later = len(part) - start - length  # entries after this run
+        later = d - start - length  # entries after this run
         grown = []
-        for vec, coef, left, above in found:
+        for delta, coef, left, above in found:
             above = above if adjacent else 0
             if left <= later:
-                grown.append((vec, coef, left, length))
+                grown.append((delta, coef, left, length))
             for j in range(max(1, left - later), min(length, left) + 1):
-                new = vec[:]
-                for i in range(start, start + j):
-                    new[i] += 1
-                grown.append((new, coef * math.comb(j + above, j), left - j, length - j))
+                raised = delta + (ones >> width * (d - j) << width * (d - start - j))
+                grown.append((raised, coef * math.comb(j + above, j), left - j, length - j))
         found = grown
-    return tuple((tuple(vec), coef) for vec, coef, left, _ in found if not left)
-
-
-def _times_e(g, k):
-    """g * e_k, both as maps from padded partitions to monomial-symmetric coefficients."""
-    out = {}
-    for mu, coef in g.items():
-        for nu, count in _raise(mu, k):
-            out[nu] = out.get(nu, 0) + coef * count
-    return out
+    return tuple(key + f[0] for f in found if not f[2]), tuple(f[1] for f in found if not f[2])
 
 
 @lru_cache(maxsize=None)
-def _e_monomial(a):
-    """prod_k e_k^{a_k} in len(a) variables as a map from partitions to integers.
+def _row(a, width):
+    """prod_k e_k^{a_k} in len(a) variables, a_d = 0, as (packed partitions, integers).
 
-    Cached; callers must not modify the returned map.
+    The integers are an int64 array unless one of them passes 2^63.
     """
     for i, power in enumerate(a):
         if power:
-            rest = a[:i] + (power - 1,) + a[i + 1 :]
-            return _times_e(_e_monomial(rest), i + 1)
-    return {a: 1}
+            keys, coefs = _row(a[:i] + (power - 1,) + a[i + 1 :], width)
+            out = {}
+            get = out.get
+            k, d = i + 1, len(a)
+            for mu, c in zip(keys, coefs):
+                nus, counts = _raise(mu, k, d, width)
+                for nu, count in zip(nus, counts):
+                    out[nu] = get(nu, 0) + c * count
+            try:
+                return tuple(out), array("q", out.values())
+            except OverflowError:
+                return tuple(out), tuple(out.values())
+    return (0,), (1,)
+
+
+def _expansion(a, width):
+    """e^a as (packed partitions, integers, shift to add to each partition).
+
+    In d variables m_{mu + 1^d} = e_d m_mu, so only rows with a_d = 0 are cached.
+    """
+    if not a:
+        return (0,), (1,), 0
+    return *_row(a[:-1] + (0,), width), a[-1] * _layout(len(a), width)[1]
 
 
 def to_elementary(f):
     """Rewrite a symmetric polynomial as a polynomial in e_1, .., e_d.
 
     f is a SymmetricPoly, or a SparsePoly that is read once into one and
-    raises ValueError when it is not symmetric.  Classical descent on the
-    integer monomial-symmetric coefficients: repeatedly subtract the
-    e-monomial whose expansion has the same lex-leading partition.
+    raises ValueError when it is not symmetric.  Classical descent: pop the
+    lex-leading packed partition from a heap and subtract the e-monomial
+    whose expansion leads with it.  Every partition met is dominated by
+    one of f, so f's largest part sets the field width.
     """
     if not isinstance(f, SymmetricPoly):
         f = SymmetricPoly.from_poly(f)
-    d = f.nvars
-    remainder, denom = dict(f.coefficients), f.denominator
+    d, denom = f.nvars, f.denominator
+    width = _width(max((mu[0] for mu in f.coefficients if mu), default=0))
+    codec = _layout(d, width)[0]
+    remainder = {int.from_bytes(codec.pack(*mu), "big"): c for mu, c in f.coefficients.items()}
+    get = remainder.get
+    heap = [-key for key in remainder]
+    heapq.heapify(heap)
     result = {}
-    while remainder:
-        lead = max(remainder)
+    while heap:
+        lead = -heapq.heappop(heap)
         coef = remainder[lead]
-        e_exp = tuple(lead[i] - (lead[i + 1] if i + 1 < d else 0) for i in range(d))
-        result[e_exp] = QQ(coef, denom)
-        for nu, c in _e_monomial(e_exp).items():
-            acc = remainder.get(nu, 0) - coef * c
-            if acc:
-                remainder[nu] = acc
-            else:
-                remainder.pop(nu, None)
+        if not coef:  # cancelled; a key is pushed once, when it first appears
+            continue
+        part = _unpack(lead, d, width)
+        a = tuple(part[i] - part[i + 1] for i in range(d - 1)) + part[d - 1 :]
+        result[a] = QQ(coef, denom)
+        keys, coefs, shift = _expansion(a, width)
+        for nu, c in zip(keys, coefs):
+            nu += shift
+            acc = get(nu)
+            if acc is None:
+                heapq.heappush(heap, -nu)
+                acc = 0
+            remainder[nu] = acc - coef * c
     return SparsePoly._make(d, result)
 
 
 def from_elementary(g):
     """Evaluate a polynomial in e-variables at the elementary symmetric polynomials.
 
-    Each e-monomial expands on partitions by the same `_e_monomial` that
-    `to_elementary` descends with, over the common denominator of g.
+    Each e-monomial expands by the same `_expansion` that `to_elementary`
+    descends with, over the common denominator of g.
     """
     coefficients, denom = _clear_denominators(g.terms)
+    d = g.nvars
+    width = _width(max(map(sum, coefficients), default=0))
     total = {}
     for a, c in coefficients.items():
-        for mu, k in _e_monomial(a).items():
-            total[mu] = total.get(mu, 0) + c * k
-    return SymmetricPoly(g.nvars, total, denom).poly
+        keys, coefs, shift = _expansion(a, width)
+        for key, k in zip(keys, coefs):
+            total[key + shift] = total.get(key + shift, 0) + c * k
+    return SymmetricPoly(d, {_unpack(key, d, width): c for key, c in total.items()}, denom).poly
 
 
 # ---------------------------------------------------------------------------
@@ -710,48 +754,50 @@ def poly_to_text(f, names="x"):
     return "".join(pieces)
 
 
-_TERM_RE = re.compile(
-    r"^(?P<coef>\d+(?:/\d+)?)(?P<factors>(?:\*[a-z]\d+(?:\^\d+)?)*)$"
-)
-_FACTOR_RE = re.compile(r"\*([a-z])(\d+)(?:\^(\d+))?")
+_SEPARATOR = re.compile(r" ([+-]) ")
+
+
+@lru_cache(maxsize=None)
+def _factor(text):
+    """A factor `<letter><index>[^<power>]` as (letter, index, power); None if malformed."""
+    index, caret, power = text[1:].partition("^")
+    if "a" <= text[:1] <= "z" and index.isdecimal() and (power.isdecimal() or not caret):
+        return text[0], int(index), int(power) if caret else 1
+    return None
 
 
 def poly_from_text(s, nvars=None):
-    """Parse the canonical text grammar; infers the variable count if not given."""
+    """Parse the canonical text grammar; infers the variable count if not given.
+
+    Terms `<digits>[/<digits>]` then `*<letter><index>[^<power>]` factors,
+    split on " + " and " - " once and checked with `str.isdecimal`.
+    """
     if nvars is not None:
         _check_nvars(nvars)
     s = s.strip()
     if s == "0":
         return SparsePoly.zero(nvars or 0)
-    chunks = []
-    sign = 1
-    if s.startswith("-"):
-        sign = -1
-        s = s[1:]
-    for piece in re.split(r" ([+-]) ", s):
-        chunks.append(piece)
-    terms = []
-    current_sign = sign
-    name = None
-    for i, piece in enumerate(chunks):
-        if i % 2 == 1:
-            current_sign = 1 if piece == "+" else -1
-            continue
-        match = _TERM_RE.match(piece)
-        if not match:
+    negative = s.startswith("-")
+    pieces = _SEPARATOR.split(s[negative:])
+    terms, names = [], set()
+    for sign, piece in zip(["-" if negative else "+"] + pieces[1::2], pieces[::2]):
+        coef, *factors = piece.split("*")
+        num, slash, den = coef.partition("/")
+        factors = [_factor(text) for text in factors]
+        if not num.isdecimal() or not (den.isdecimal() or not slash) or None in factors:
             raise ValueError(f"cannot parse polynomial term {piece!r}")
-        coef = QQ(match.group("coef")) * current_sign
-        factors = {}
-        for fmatch in _FACTOR_RE.finditer(match.group("factors")):
-            letter, index, power = fmatch.group(1), int(fmatch.group(2)), fmatch.group(3)
-            if name is None:
-                name = letter
-            elif letter != name:
+        if slash and not int(den):
+            raise ValueError(f"zero denominator in polynomial term {piece!r}")
+        exp = {}
+        for letter, index, power in factors:
+            names.add(letter)
+            if len(names) > 1:
                 raise ValueError("mixed variable families in one polynomial")
             if index < 1:
                 raise ValueError(f"variable index {index} out of range")
-            factors[index - 1] = factors.get(index - 1, 0) + (int(power) if power else 1)
-        terms.append((coef, factors))
+            exp[index - 1] = exp.get(index - 1, 0) + power
+        value = QQ(int(num), int(den)) if slash else QQ(int(num))
+        terms.append((-value if sign == "-" else value, exp))
     width = nvars
     if width is None:
         width = max((max(f) + 1 for _, f in terms if f), default=0)
@@ -760,7 +806,7 @@ def poly_from_text(s, nvars=None):
         if factors and max(factors) >= width:
             raise ValueError(f"variable index exceeds {width} variables")
         exp = tuple(factors.get(i, 0) for i in range(width))
-        acc[exp] = acc.get(exp, _ZERO) + coef
+        acc[exp] = acc[exp] + coef if exp in acc else coef
     return SparsePoly._make(width, acc)
 
 

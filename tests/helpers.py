@@ -20,7 +20,9 @@ products computed one exponent at a time; `time_limit` stops a run that a
 broken engine would never end.  The new pairs of the
 Gebauer-Moeller update have the quadratic loop that tests every lcm
 against all later ones and the ones kept so far.  The local multiplicity has
-the loop that screens each draw by evaluating leading coefficients.
+the loop that screens each draw by evaluating leading coefficients.  The
+text parser has the regex grammar it replaced: a match per term and
+`Fraction(str)` per coefficient.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ import heapq
 import itertools
 import math
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -737,3 +740,60 @@ def oracle_local_multiplicity(polys, trials=5, seed=0, local_vars=2):
     if len(dimensions) < trials:
         raise RuntimeError(f"only {len(dimensions)} of {trials} specializations were usable")
     return min(dimensions)
+
+
+# ---------------------------------------------------------------------------
+# the regex text parser: one match per term, Fraction(str) per coefficient
+
+_TERM_RE = re.compile(r"^(?P<coef>\d+(?:/\d+)?)(?P<factors>(?:\*[a-z]\d+(?:\^\d+)?)*)$")
+_FACTOR_RE = re.compile(r"\*([a-z])(\d+)(?:\^(\d+))?")
+
+
+def oracle_poly_from_text(s, nvars=None):
+    """The canonical text grammar by regex.
+
+    `$` also matches before a term's trailing newline, and a zero
+    denominator raises ZeroDivisionError from `Fraction`.
+    """
+    if nvars is not None and nvars < 0:
+        raise ValueError(f"variable count must be non-negative, got {nvars}")
+    s = s.strip()
+    if s == "0":
+        return SparsePoly.zero(nvars or 0)
+    sign = 1
+    if s.startswith("-"):
+        sign = -1
+        s = s[1:]
+    chunks = re.split(r" ([+-]) ", s)
+    terms = []
+    current_sign = sign
+    name = None
+    for i, piece in enumerate(chunks):
+        if i % 2 == 1:
+            current_sign = 1 if piece == "+" else -1
+            continue
+        match = _TERM_RE.match(piece)
+        if not match:
+            raise ValueError(f"cannot parse polynomial term {piece!r}")
+        coef = Fraction(match.group("coef")) * current_sign
+        factors = {}
+        for fmatch in _FACTOR_RE.finditer(match.group("factors")):
+            letter, index, power = fmatch.group(1), int(fmatch.group(2)), fmatch.group(3)
+            if name is None:
+                name = letter
+            elif letter != name:
+                raise ValueError("mixed variable families in one polynomial")
+            if index < 1:
+                raise ValueError(f"variable index {index} out of range")
+            factors[index - 1] = factors.get(index - 1, 0) + (int(power) if power else 1)
+        terms.append((coef, factors))
+    width = nvars
+    if width is None:
+        width = max((max(f) + 1 for _, f in terms if f), default=0)
+    acc = {}
+    for coef, factors in terms:
+        if factors and max(factors) >= width:
+            raise ValueError(f"variable index exceeds {width} variables")
+        exp = tuple(factors.get(i, 0) for i in range(width))
+        acc[exp] = acc.get(exp, Fraction(0)) + coef
+    return SparsePoly._make(width, acc)

@@ -268,6 +268,24 @@ def test_validation_error_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coha", "mul", "--m", "2", "--left-arity", "1", "--left", "1/0*x1"]
+        + ["--right-arity", "1", "--right", "1*x1"],
+        ["chow", "multiplicity", "--vars", "3", "--poly", "1/0*x1", "--poly", "1*x2"],
+    ],
+    ids=["coha-mul", "chow-multiplicity"],
+)
+def test_zero_denominator_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "zero denominator in polynomial term '1/0*x1'" in captured.err
+
+
 def test_computation_error_exits_1(capsys):
     code, out, err = run(
         capsys,

@@ -1,5 +1,8 @@
 """The partition-space symmetry check, change of basis and kernel generators
-against the x-space oracles in helpers.py and the stored benchmark inputs;
+against the x-space oracles in helpers.py, the stored benchmark inputs and
+pinned digests at (3,6), (2,7), (4,6); the kernel power's block
+representatives against the filtered full product; the text parser
+against the regex grammar it replaced;
 rho and rho_pq against the bialternant, and the Kostka numbers behind them
 against closed-form identities; the partition-core shuffle product (m = 0..3)
 and its change of basis against the subset-sum and x-space descent oracles,
@@ -21,6 +24,7 @@ critical pairs and j-indices of the preorder walk against set differences
 and element counts; and the in-order forest recursion against compositions
 and one sort."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -35,14 +39,16 @@ from hypothesis import strategies as st
 import nchilb.groebner
 import nchilb.presentation
 from nchilb.cli import _worked_example_pair
-from nchilb.coha import CohaElement, coha_mul, kernel_generators
+from nchilb.coha import CohaElement, _kernel_power, _kernel_representatives, _pack, coha_mul, kernel_generators
 from nchilb.forests import critical_pairs, enumerate_forests, forest_to_jtuple
 from nchilb.groebner import GroebnerBasis, _new_pairs, _Order, buchberger, ideal_equals, normal_form
 from nchilb.polynomial import (
     SparsePoly,
     SymmetricPoly,
     _kostka,
+    _orbit_size,
     from_elementary,
+    is_partition,
     is_symmetric,
     monomial_symmetric,
     poly_from_text,
@@ -79,6 +85,7 @@ from helpers import (
     oracle_local_multiplicity,
     oracle_normal_form,
     oracle_order_key,
+    oracle_poly_from_text,
     oracle_rho,
     oracle_rho_pq,
     oracle_shuffle,
@@ -109,6 +116,21 @@ def test_e_generators_equal_stored_inputs(m, d):
         stored = fh.read()
     gens = kernel_ideal_generators(d, m)
     assert "".join(poly_to_text(g, names="e") + "\n" for g in gens) == stored
+
+
+# sha256 of the e-generator text, one canonical line per generator, as computed
+# by the full-product kernel and the per-lead e-monomial expansion they replaced
+E_GENERATOR_SHA256 = {
+    (3, 6): "b9e930e1a1fe271b79f13c904407d6cfc672b74a787b9e18ce4d16d4983318b5",
+    (2, 7): "0c806754896a092c3e6a6d7b3f9519e99f5599144e704765097495a0aa6f3afe",
+    (4, 6): "9acc12f5648783c23a9f81e79451b64d064f5f1ce5e4a8448c591dad939d5fa2",
+}
+
+
+@pytest.mark.parametrize("m,d", sorted(E_GENERATOR_SHA256))
+def test_e_generators_match_pinned_digests(m, d):
+    text = "".join(poly_to_text(g, names="e") + "\n" for g in kernel_ideal_generators(d, m))
+    assert hashlib.sha256(text.encode()).hexdigest() == E_GENERATOR_SHA256[m, d]
 
 
 def test_e_generators_carry_rational_coefficients():
@@ -150,7 +172,7 @@ def test_to_elementary_inverts_from_elementary(g):
 @settings(max_examples=60, deadline=None)
 @given(e_polynomials())
 def test_from_elementary_equals_x_space_products(g):
-    # both directions read _e_monomial, so the round trip alone cannot catch a wrong expansion
+    # both directions read _expansion, so the round trip alone cannot catch a wrong expansion
     assert from_elementary(g) == oracle_from_elementary(g)
 
 
@@ -169,6 +191,90 @@ def test_one_changed_orbit_member_breaks_symmetry(g, data):
     assert not is_symmetric(broken)
     with pytest.raises(ValueError):
         to_elementary(broken)
+
+
+@st.composite
+def symmetric_polynomials(draw):
+    """A SymmetricPoly in 0..6 variables on padded partitions, full-length ones included."""
+    d = draw(st.integers(0, 6))
+    part = st.lists(st.integers(0, 3 if d <= 4 else 2), min_size=d, max_size=d)
+    parts = draw(st.lists(part.map(lambda p: tuple(sorted(p, reverse=True))), max_size=4))
+    coefs = draw(st.lists(st.integers(-30, 30), min_size=len(parts), max_size=len(parts)))
+    return SymmetricPoly(d, dict(zip(parts, coefs)), draw(st.integers(1, 6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_polynomials())
+@example(SymmetricPoly(3, {(2, 1, 1): 3, (1, 1, 1): -2, (2, 2, 2): 1}, 2))
+@example(SymmetricPoly(6, {(2, 2, 1, 1, 1, 1): 5, (1, 1, 1, 1, 1, 1): 1}))
+@example(SymmetricPoly(0, {(): 7}, 3))
+def test_to_elementary_equals_x_space_descent(f):
+    # a partition with d nonzero parts leads with a power of e_d, which the packed
+    # descent reads off the row of its e_d-free exponent, shifted
+    assert to_elementary(f) == oracle_to_elementary(f.poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
+def test_kernel_representatives_equal_filtered_full_product(p, q, power):
+    # the full product has (power + 1)^(p q) terms before cancellation, so its
+    # size, not the representatives', bounds the shapes checked here
+    assume(p * q * power <= 18)
+    with time_limit(30):
+        expected = sorted(
+            (_pack(e), int(c) * _orbit_size(e[:p]) * _orbit_size(e[p:]))
+            for e, c in _kernel_power(p, q, power).terms.items()
+            if is_partition(e[:p]) and is_partition(e[p:])
+        )
+        assert sorted(_kernel_representatives(p, q, power)) == expected
+
+
+def _parse_outcome(parse, text, nvars):
+    try:
+        return parse(text, nvars=nvars)
+    except Exception as exc:  # the exception class is part of the outcome
+        return type(exc)
+
+
+@st.composite
+def polynomial_texts(draw):
+    """A canonical text of a random polynomial, then up to four characters changed."""
+    nvars = draw(st.integers(0, 4))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), max_size=4, unique=True))
+    coefs = draw(st.lists(fractions, min_size=len(exps), max_size=len(exps)))
+    text = poly_to_text(SparsePoly(nvars, dict(zip(exps, coefs))), names=draw(st.sampled_from("xe")))
+    alphabet = st.sampled_from(list("0123456789/*^+- xey\n\u0661_"))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = draw(alphabet)
+        if op == "insert":
+            text = text[:at] + char + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + char + text[at + 1 :]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_texts(), st.one_of(st.none(), st.integers(0, 4)))
+@example("1*x1\n + 2", None)
+@example("1/0*x1", None)
+@example("3/06*x2^2 - 1*x1*x1 + 0*x3", None)
+@example("1*x0", None)
+@example("1*x1 + 1*e2", None)
+@example("- 1", None)
+def test_poly_from_text_equals_regex_oracle(text, nvars):
+    new = _parse_outcome(poly_from_text, text, nvars)
+    old = _parse_outcome(oracle_poly_from_text, text, nvars)
+    if old is ZeroDivisionError:
+        assert new is ValueError  # a zero denominator is a malformed term
+    elif new is ValueError and "\n" in text.strip():
+        # the regex `$` also matched before a newline that ends a term
+        assert old is ValueError or old == poly_from_text(text.replace("\n", ""), nvars=nvars)
+    else:
+        assert new == old
 
 
 @st.composite

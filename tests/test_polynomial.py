@@ -1,6 +1,8 @@
 """Polynomial core: arithmetic, symmetric functions, antisymmetrization, codecs."""
 
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -216,6 +218,24 @@ def test_to_elementary_rejects_non_symmetric():
         to_elementary(x(1, 2) ** 2 * x(2, 2))
 
 
+def test_to_elementary_packs_parts_of_every_field_width():
+    # partitions pack into 8-, 16-, 32- or 64-bit fields, chosen by the largest part
+    for part in (255, 256, 2**16, 2**40, 2**64 - 1):
+        f = SymmetricPoly(2, {(part, part): 3, (1, 0): 1}, 2)
+        assert to_elementary(f) == SparsePoly(2, {(0, part): Fraction(3, 2), (1, 0): Fraction(1, 2)})
+        assert from_elementary(to_elementary(f)) == f.poly
+    with pytest.raises(OverflowError, match="does not fit a 64-bit field"):
+        to_elementary(SymmetricPoly(1, {(2**64,): 1}))
+
+
+def test_change_of_basis_past_64_bit_row_coefficients():
+    # (x1 + x2)^70 has binomial(70, 35) > 2^63 at x1^35 x2^35, so this row keeps a tuple
+    g = SparsePoly(2, {(70, 0): 1})
+    f = from_elementary(g)
+    assert f.coefficient((35, 35)) == math.comb(70, 35) > 2**63
+    assert to_elementary(f) == g
+
+
 def test_symmetric_poly_partition_form():
     f = x(1, 3) ** 2 + x(2, 3) ** 2 + x(3, 3) ** 2 + elementary_symmetric(3, 3) * Fraction(1, 2)
     s = SymmetricPoly.from_poly(f)
@@ -335,6 +355,12 @@ def test_text_parsing_errors():
         poly_from_text("x1 +")
     with pytest.raises(ValueError):
         poly_from_text("1*x9", nvars=2)
+
+
+def test_zero_denominator_is_a_value_error_naming_the_term():
+    for text, term in (("1/0*x1", "1/0*x1"), ("1*x1 - 2/00", "2/00"), ("-0/0", "0/0")):
+        with pytest.raises(ValueError, match=re.escape(f"zero denominator in polynomial term '{term}'")):
+            poly_from_text(text)
 
 
 def test_json_round_trip():
