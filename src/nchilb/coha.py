@@ -9,9 +9,12 @@ coefficients over one denominator), and one partition core computes every
 product from a single block term instead of C(d, p) shuffles.  For m >= 1
 the block term times the kernel is summed per sorted exponent; the kernel
 power is only ever formed on its block-sorted exponents, as a product
-over the first block of one polynomial in the second.  For m = 0,
-where the kernel is a denominator, the block term times a staircase
-monomial in each block is antisymmetrized.  The x-space polynomial of an
+over the first block of one polynomial in the second, and the forbidden
+polynomials are read off the same representatives.  For m = 0, where
+the kernel is a denominator, the block term times a staircase monomial
+in each block is antisymmetrized.  Exponents are packed by the partition
+codec of `polynomial`, and orbits are expanded by its `_spread`, so this
+module keeps only the shuffle formula.  The x-space polynomial of an
 element is expanded on each read, and no copy of it is kept.
 
 The same shuffle machinery produces the degree-d kernel generators
@@ -22,8 +25,6 @@ generator is ever expanded into x-space.
 
 import itertools
 import math
-import sys
-from array import array
 from functools import lru_cache
 
 from .polynomial import (
@@ -31,9 +32,12 @@ from .polynomial import (
     SymmetricPoly,
     _alternate_sums,
     _clear_denominators,
-    _orbit,
     _orbit_size,
+    _pack,
+    _spread,
     _stabilizer_order,
+    _unpack,
+    _width,
     elementary_symmetric,
     is_symmetric,
     partitions_in_box,
@@ -42,6 +46,7 @@ from .polynomial import (
     rho,
     schur,
 )
+from .rationals import QQ
 
 __all__ = [
     "CohaElement",
@@ -110,13 +115,6 @@ class CohaElement:
         return cls(obj["d"], poly_from_json(obj["poly"]))
 
 
-def _kernel_power(p, q, power):
-    """prod_{i<=p<j} (x_j - x_i)^power as a SparsePoly in p + q variables."""
-    x = [SparsePoly.variable(p + q, i) for i in range(p + q)]
-    factors = ((x[j] - x[i]) ** power for i in range(p) for j in range(p, p + q))
-    return math.prod(factors, start=SparsePoly.const(p + q, 1))
-
-
 def _shuffle(base, p, q, m, denominator):
     """The shuffle sum of an S_p x S_q-invariant base, on partitions.
 
@@ -156,48 +154,41 @@ def _shuffle(base, p, q, m, denominator):
 def _orbit_sums(base, p, q, power):
     """base * prod_{i<=p<j} (x_j - x_i)^power summed over each S_d-orbit, keyed by sorted exponent.
 
-    Exponents are packed into one int, a 64-bit field per variable, so
-    adding two packed ints adds the exponent vectors; each distinct product
-    is unpacked once, to be sorted.
+    Exponents are packed by the partition codec of `polynomial`, in fields
+    as wide as the top exponent needs, so adding two packed ints adds the
+    exponent vectors; each distinct product is unpacked once, to be sorted.
     """
-    top = max((max(e, default=0) for e in base), default=0) + max(p, q) * power
-    if top >> 64:
-        raise OverflowError(f"exponent {top} does not fit a 64-bit field of the shuffle product")
-    kernel = _kernel_representatives(p, q, power)
+    width = _width(max((max(e, default=0) for e in base), default=0) + max(p, q) * power)
+    kernel = _kernel_representatives(p, q, power, width)
     products = {}
     get = products.get
     for exp, c1 in base.items():
-        k1 = _pack(exp)
+        k1 = _pack(exp, width)
         for k2, c2 in kernel:
             key = k1 + k2
             products[key] = get(key, 0) + c1 * c2
     totals = {}
     for key, coef in products.items():
         if coef:
-            fields = memoryview(key.to_bytes(8 * (p + q), sys.byteorder)).cast("Q")
-            mu = tuple(sorted(fields, reverse=True))
+            mu = tuple(sorted(_unpack(key, p + q, width), reverse=True))
             totals[mu] = totals.get(mu, 0) + coef
     return totals
 
 
-def _pack(exp):
-    return int.from_bytes(array("Q", exp).tobytes(), sys.byteorder)
-
-
 @lru_cache(maxsize=None)
-def _kernel_representatives(p, q, power):
+def _kernel_representatives(p, q, power, width):
     """The kernel power on its sorted-block exponents, weighted by S_p x S_q-orbit size.
 
     The kernel is prod_{i<=p} R(x_i), R(t) = prod_{j>p} (x_j - t)^power =
     sum_k r_k(x'') t^k, so x'^kappa has coefficient prod_i r_{kappa_i}(x'').
     Only weakly decreasing kappa are walked, each product extending its
     prefix's, and only its weakly decreasing x'' exponents are kept.
-    Returned as (packed exponent, coefficient) pairs.
+    Returned as (exponent packed in `width`-bit fields, coefficient) pairs.
     """
     r = [{} for _ in range(q * power + 1)]
     for a in itertools.product(range(power + 1), repeat=q):
         coef = (-1) ** sum(a) * math.prod(math.comb(power, b) for b in a)
-        r[sum(a)][_pack((0,) * p + tuple(power - b for b in a))] = coef
+        r[sum(a)][_pack((0,) * p + tuple(power - b for b in a), width)] = coef
     found = []
 
     def walk(kappa, product):
@@ -209,26 +200,21 @@ def _kernel_representatives(p, q, power):
                         grown[k1 + k2] = grown.get(k1 + k2, 0) + c1 * c2
                 walk(kappa + (k,), {key: c for key, c in grown.items() if c})
             return
-        base, weight = _pack(kappa + (0,) * q), _orbit_size(kappa)
+        base, weight = _pack(kappa + (0,) * q, width), _orbit_size(kappa)
         for key, c in product.items():
-            nu = memoryview(key.to_bytes(8 * (p + q), sys.byteorder)).cast("Q")[p:]
+            nu = _unpack(key, p + q, width)[p:]
             if all(nu[i] >= nu[i + 1] for i in range(q - 1)):
-                found.append((base + key, c * weight * _orbit_size(tuple(nu))))
+                found.append((base + key, c * weight * _orbit_size(nu)))
 
     walk((), {0: 1})
     return tuple(found)
-
-
-def _expanded(symmetric):
-    """The integers of a SymmetricPoly on every exponent of every orbit."""
-    return {e: c for mu, c in symmetric.coefficients.items() for e in _orbit(mu)}
 
 
 def coha_mul(f, g, m):
     """Shuffle product of two elements, of arity f.d + g.d."""
     if m < 0:
         raise ValueError("loop count m must be non-negative")
-    left, right = _expanded(f.symmetric), _expanded(g.symmetric)
+    left, right = _spread(f.symmetric.coefficients, f.d), _spread(g.symmetric.coefficients, g.d)
     base = {e1 + e2: c1 * c2 for e1, c1 in left.items() for e2, c2 in right.items()}
     denominator = f.symmetric.denominator * g.symmetric.denominator
     return CohaElement._from_symmetric(_shuffle(base, f.d, g.d, m, denominator))
@@ -253,10 +239,20 @@ def psi_product(ks, m):
 
 
 def forbidden_polynomial(p, d, m):
-    """x_{p+1}..x_d times prod_{mu<=p<nu} (x_nu - x_mu)^m, in d variables."""
+    """x_{p+1}..x_d times prod_{mu<=p<nu} (x_nu - x_mu)^m, in d variables.
+
+    Read off the kernel's sorted-block representatives: x'' raised by one,
+    each coefficient divided by its orbit size, then spread over the orbits.
+    """
     if not 0 <= p < d:
         raise ValueError("need 0 <= p < d")
-    return _right_variables(p, d - p) * _kernel_power(p, d - p, m)
+    width = _width(max(p, d - p) * m + 1)
+    shift = _pack((0,) * p + (1,) * (d - p), width)
+    terms = {}
+    for key, c in _kernel_representatives(p, d - p, m, width):
+        e = _unpack(key + shift, d, width)
+        terms[e] = QQ(c // (_orbit_size(e[:p]) * _orbit_size(e[p:])))
+    return SparsePoly._make(d, _spread(terms, p))
 
 
 def _right_variables(p, q):

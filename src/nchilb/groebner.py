@@ -44,10 +44,10 @@ the generators up to it.
 import heapq
 import itertools
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import lshift, mul
 
-from .polynomial import SparsePoly
+from .polynomial import SparsePoly, _clear_denominators
 from .rationals import QQ
 
 __all__ = [
@@ -229,9 +229,8 @@ def _reduce(work, heads):
 
 def _integral(poly, order):
     """poly times the common denominator of its coefficients, as {key: int}, and that denominator."""
-    terms = poly.terms
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {order.key(exp): c.numerator * (den // c.denominator) for exp, c in terms.items()}, den
+    integers, den = _clear_denominators(poly.terms)
+    return dict(zip(map(order.key, integers), integers.values())), den
 
 
 def _to_poly(terms, den, order):
@@ -577,11 +576,7 @@ class GroebnerBasis:
         self._whole()
         if max_deg < 0:
             raise ValueError(f"max_deg must be >= 0, got {max_deg}")
-        if max_deg >= _LIMIT:
-            raise OverflowError(
-                f"max_deg {max_deg} is too large: packed monomials need "
-                f"weighted degree < 2**{FIELD_BITS - 1}"
-            )
+        self._order._checked(max_deg)
         counts = [0] * (max_deg + 1)
         if self.is_finite_dimensional():
             walk = self._staircase

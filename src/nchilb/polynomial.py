@@ -272,10 +272,7 @@ class SymmetricPoly:
     @property
     def poly(self):
         """The x-space SparsePoly, every monomial of every orbit, expanded on each read."""
-        terms = {}
-        for mu, c in self.coefficients.items():
-            terms.update(dict.fromkeys(_orbit(mu), QQ(c, self.denominator)))
-        return SparsePoly._make(self.nvars, terms)
+        return SparsePoly._make(self.nvars, _spread(self._rationals(), self.nvars))
 
     def is_zero(self):
         return not self.coefficients
@@ -307,25 +304,23 @@ def elementary_symmetric(k, d):
     _check_nvars(d)
     if k > d:
         return SparsePoly.zero(d)
-    terms = {}
-    for subset in itertools.combinations(range(d), k):
-        exp = [0] * d
-        for i in subset:
-            exp[i] = 1
-        terms[tuple(exp)] = _ONE
-    return SparsePoly._make(d, terms)
+    return monomial_symmetric((1,) * k, d)
 
 
 def monomial_symmetric(lam, d):
     """Sum of the distinct monomials whose exponent multiset is the partition lam."""
+    return SparsePoly._make(d, dict.fromkeys(_orbit(_padded(lam, d)), _ONE))
+
+
+def _padded(lam, d):
+    """lam padded with zeros to d parts; ValueError unless it is a partition of at most d parts."""
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
     lam = tuple(part for part in lam if part)
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} parts")
-    padded = lam + (0,) * (d - len(lam))
-    return SparsePoly._make(d, dict.fromkeys(_orbit(padded), _ONE))
+    return lam + (0,) * (d - len(lam))
 
 
 @lru_cache(maxsize=None)
@@ -365,13 +360,7 @@ def _alternate(f, p):
     term therefore gives a signed product of two Schur polynomials, summed
     on monomial-symmetric coefficients and expanded one orbit pair at a time.
     """
-    terms = {}
-    for key, coef in _alternate_sums(f.terms, p).items():
-        if coef:
-            for mu in _orbit(key[:p]):
-                for nu in _orbit(key[p:]):
-                    terms[mu + nu] = coef
-    return SparsePoly._make(f.nvars, terms)
+    return SparsePoly._make(f.nvars, _spread(_alternate_sums(f.terms, p), p))
 
 
 def _alternate_sums(terms, p):
@@ -487,6 +476,21 @@ def _orbit(part):
     return [get(values) for get in _arrangements(tuple(counts.values()))]
 
 
+def _spread(coefficients, p):
+    """Each nonzero coefficient on every S_p x S_q rearrangement of its key, in a new dict.
+
+    S_p permutes the first p entries and S_q the rest; p = len(key) is S_d.
+    """
+    terms = {}
+    for key, coef in coefficients.items():
+        if coef:
+            right = _orbit(key[p:])
+            for mu in _orbit(key[:p]):
+                for nu in right:
+                    terms[mu + nu] = coef
+    return terms
+
+
 def _orbit_coefficients(f, p):
     """The coefficients of f on the sorted representatives of its S_p x S_q orbits.
 
@@ -515,8 +519,8 @@ def _orbit_coefficients(f, p):
 
 def _clear_denominators(coefficients):
     """A map of rationals as integers over one common denominator: (integers, denominator)."""
-    denom = math.lcm(*(int(c.denominator) for c in coefficients.values()))
-    return {key: int(c * denom) for key, c in coefficients.items()}, denom
+    denom = math.lcm(*(c.denominator for c in coefficients.values()))
+    return {key: c.numerator * (denom // c.denominator) for key, c in coefficients.items()}, denom
 
 
 def is_symmetric(f, block=None):
@@ -540,13 +544,7 @@ def schur(lam, d):
 
     The staircase grows toward x_d, following prod_{i<j}(x_j - x_i).
     """
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise ValueError(f"{lam} is not a partition")
-    lam = tuple(part for part in lam if part)
-    if len(lam) > d:
-        raise ValueError(f"partition {lam} has more than {d} parts")
-    padded = lam + (0,) * (d - len(lam))
+    padded = _padded(lam, d)
     # exponent of x_{j+1} is lam_{d-j} + j: the staircase grows toward x_d
     exp = tuple(padded[d - 1 - j] + j for j in range(d))
     return rho(SparsePoly.monomial(d, exp))
@@ -599,6 +597,12 @@ def _layout(d, width):
     """(struct, packed (1, .., 1)) for d big-endian parts: lex order is int order."""
     codec = struct.Struct(f">{d}{'BHIQ'[(width // 8).bit_length() - 1]}")
     return codec, int.from_bytes(codec.pack(*[1] * d), "big")
+
+
+def _pack(parts, width):
+    """A tuple of parts as one int, each part in a field of `width` bits, the first highest."""
+    codec = _layout(len(parts), width)[0]
+    return int.from_bytes(codec.pack(*parts), "big")
 
 
 def _unpack(key, d, width):
@@ -680,8 +684,7 @@ def to_elementary(f):
         f = SymmetricPoly.from_poly(f)
     d, denom = f.nvars, f.denominator
     width = _width(max((mu[0] for mu in f.coefficients if mu), default=0))
-    codec = _layout(d, width)[0]
-    remainder = {int.from_bytes(codec.pack(*mu), "big"): c for mu, c in f.coefficients.items()}
+    remainder = {_pack(mu, width): c for mu, c in f.coefficients.items()}
     get = remainder.get
     heap = [-key for key in remainder]
     heapq.heapify(heap)

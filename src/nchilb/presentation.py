@@ -15,13 +15,13 @@ specializations.
 
 import random
 from functools import lru_cache
-from math import lcm
 
 from .coha import kernel_generators
 from .forests import ambient_dimension, enumerate_btuples, poincare_polynomial
 from .groebner import buchberger, normal_form
 from .polynomial import (
     SparsePoly,
+    _clear_denominators,
     is_symmetric,  # noqa: F401  (perfbench/tracer.py wraps nchilb.presentation.is_symmetric)
     poly_to_text,
     to_elementary,
@@ -161,7 +161,7 @@ def local_multiplicity(polys, trials=5, seed=0, local_vars=2):
 
     leads = [_leading_local_monomial(p, local_vars) for p in polys]
     top = [max(exp[local_vars + i] for p in polys for exp in p.terms) for i in range(n_params)]
-    integral = [_integral_terms(p) for p in polys]
+    integral = [_clear_denominators(p.terms)[0].items() for p in polys]
     rng = random.Random(seed)
     dimensions = []
     for _ in range(trials):
@@ -189,12 +189,6 @@ def _leading_local_monomial(poly, local_vars):
     if poly.is_zero():
         raise ValueError("zero polynomial has no leading coefficient")
     return max((exp[:local_vars] for exp in poly.terms), key=lambda e: (sum(e), e))
-
-
-def _integral_terms(poly):
-    """The (exponent, int) terms of poly times the common denominator of its coefficients."""
-    den = lcm(*(c.denominator for c in poly.terms.values()))
-    return [(exp, c.numerator * (den // c.denominator)) for exp, c in poly.terms.items()]
 
 
 def _specialize(terms, local_vars, powers):

@@ -10,9 +10,9 @@ forests from every composition of d into n tree sizes, the product of the
 tree sets, and one sort by the forest key, the census of d-values and
 codimensions from every enumerated forest, walked one at a time, and
 random polynomials from seeded generators.
-The symmetry check, the change to e-coordinates in both directions and
-the kernel generators have slow x-space oracles here, computed term by
-term over all variables.
+The symmetry check, the change to e-coordinates in both directions, the
+kernel power prod (x_j - x_i)^power and the kernel generators have slow
+x-space oracles here, computed term by term over all variables.
 The quotient queries of a basis have oracles that visit every monomial of
 a box or a weighted cone and test it against every head.  Buchberger and
 the normal form have the tuple-exponent oracle: orders, divisibility and
@@ -408,6 +408,13 @@ def oracle_shuffle(f, p, g, q, m):
         return exact_divide(numerator, denominator)
     except NonDivisibleError as exc:
         raise AssertionError("shuffle sum is not a polynomial") from exc
+
+
+def oracle_kernel_power(p, q, power):
+    """prod_{i<=p<j} (x_j - x_i)^power in p + q variables, multiplied out factor by factor."""
+    x = [SparsePoly.variable(p + q, i) for i in range(p + q)]
+    factors = ((x[j] - x[i]) ** power for i in range(p) for j in range(p, p + q))
+    return math.prod(factors, start=SparsePoly.const(p + q, 1))
 
 
 def oracle_kernel_generators(d, m):

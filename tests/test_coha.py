@@ -30,7 +30,7 @@ from nchilb.polynomial import (
 from nchilb.groebner import buchberger, normal_form
 from nchilb.rationals import QQ
 
-from helpers import random_poly, random_symmetric_poly
+from helpers import oracle_shuffle, random_poly, random_symmetric_poly
 
 
 def x(i, nvars):
@@ -214,15 +214,14 @@ def test_forbidden_polynomial_examples():
 
 
 def test_forbidden_polynomial_equals_product_of_its_factors():
-    for d in range(1, 6):
-        for p in range(d):
-            for m in range(4):
-                expected = SparsePoly.const(d, 1)
-                for j in range(p + 1, d + 1):
-                    expected = expected * x(j, d)
-                    for i in range(1, p + 1):
-                        expected = expected * (x(j, d) - x(i, d)) ** m
-                assert forbidden_polynomial(p, d, m) == expected
+    cases = [(p, d, m) for d in range(1, 6) for p in range(d) for m in range(4)]
+    for p, d, m in cases + [(3, 6, 2), (2, 6, 3)]:
+        expected = SparsePoly.const(d, 1)
+        for j in range(p + 1, d + 1):
+            expected = expected * x(j, d)
+            for i in range(1, p + 1):
+                expected = expected * (x(j, d) - x(i, d)) ** m
+        assert forbidden_polynomial(p, d, m) == expected
 
 
 def test_tautological_relation_worked_case():
@@ -263,6 +262,15 @@ def test_exponent_past_the_packed_field_raises():
     assert top.degree() == 2**64 - 1
     with pytest.raises(OverflowError, match="64-bit"):
         coha_mul(psi(2**64 - 1), psi(0), 2)
+
+
+def test_shuffle_products_in_every_field_width():
+    # the top exponent k + m - 1 packs into 8-, 16-, 32- or 64-bit fields
+    for k in (255, 256, 2**16 - 1, 2**16, 2**32):
+        for m in (1, 2, 3):
+            high, low = psi(k), psi(0)
+            assert coha_mul(high, low, m).poly == oracle_shuffle(high.poly, 1, low.poly, 1, m)
+            assert coha_mul(low, high, m).poly == oracle_shuffle(low.poly, 1, high.poly, 1, m)
 
 
 def test_shuffle_expression_rejects_bad_input():

@@ -54,6 +54,13 @@ GOLDEN = [
         "coha_relations_m0_d3.json",
         ["coha", "relations", "--m", "0", "--d", "3", "--format", "json"],
     ),
+    *(
+        (
+            f"coha_forbidden_m{m}_d{d}_p{p}.json",
+            ["coha", "forbidden", "--m", str(m), "--d", str(d), "--p", str(p), "--format", "json"],
+        )
+        for m, d, p in [(2, 4, 1), (3, 5, 2)]
+    ),
     (
         "coha_psi_product_m2_ks0_1_3.json",
         ["coha", "psi-product", "--m", "2", "--ks", "0,1,3", "--format", "json"],

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 import nchilb.groebner
 import nchilb.presentation
 from nchilb.cli import _worked_example_pair
-from nchilb.coha import CohaElement, _kernel_power, _kernel_representatives, _pack, coha_mul, kernel_generators
+from nchilb.coha import CohaElement, _kernel_representatives, coha_mul, kernel_generators
 from nchilb.forests import critical_pairs, enumerate_forests, forest_to_jtuple
 from nchilb.groebner import GroebnerBasis, _new_pairs, _Order, buchberger, ideal_equals, normal_form
 from nchilb.polynomial import (
@@ -47,6 +47,7 @@ from nchilb.polynomial import (
     SymmetricPoly,
     _kostka,
     _orbit_size,
+    _pack,
     from_elementary,
     is_partition,
     is_symmetric,
@@ -82,6 +83,7 @@ from helpers import (
     oracle_is_finite_dimensional,
     oracle_is_symmetric,
     oracle_kernel_generators,
+    oracle_kernel_power,
     oracle_local_multiplicity,
     oracle_normal_form,
     oracle_order_key,
@@ -215,18 +217,18 @@ def test_to_elementary_equals_x_space_descent(f):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
-def test_kernel_representatives_equal_filtered_full_product(p, q, power):
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.sampled_from((8, 16, 32, 64)))
+def test_kernel_representatives_equal_filtered_full_product(p, q, power, width):
     # the full product has (power + 1)^(p q) terms before cancellation, so its
     # size, not the representatives', bounds the shapes checked here
     assume(p * q * power <= 18)
     with time_limit(30):
         expected = sorted(
-            (_pack(e), int(c) * _orbit_size(e[:p]) * _orbit_size(e[p:]))
-            for e, c in _kernel_power(p, q, power).terms.items()
+            (_pack(e, width), int(c) * _orbit_size(e[:p]) * _orbit_size(e[p:]))
+            for e, c in oracle_kernel_power(p, q, power).terms.items()
             if is_partition(e[:p]) and is_partition(e[p:])
         )
-        assert sorted(_kernel_representatives(p, q, power)) == expected
+        assert sorted(_kernel_representatives(p, q, power, width)) == expected
 
 
 def _parse_outcome(parse, text, nvars):
