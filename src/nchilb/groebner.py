@@ -25,8 +25,9 @@ denominators, every basis member is kept primitive with a positive head
 coefficient, and division is pseudo-division: the pending terms are
 scaled by as much of the head coefficient as the coefficient being
 reduced lacks, so no fraction is formed.  Division keeps the pending terms
-in a heap of keys.  The first head that divides a key is memoised per key,
-for division and the staircase walk alike.  The inputs and the pairs go
+in a heap of keys.  The first head that divides a key is memoised per key;
+the staircase walk, which indexes the heads by (variable, exponent), writes
+the misses of the standard monomials there too.  The inputs and the pairs go
 through one queue: every input before every pair, and the pairs by the
 weighted degree of their lcm.  The Gebauer-Moeller update thins new pairs
 when a polynomial joins and queued ones when popped.
@@ -524,24 +525,37 @@ class GroebnerBasis:
         """The monomials outside the head ideal, as (key, weighted degree).
 
         Depth first from 1, raising one variable at or after the last one
-        raised, so each monomial is reached once.  A monomial that
-        `_Heads.divisor` puts in the head ideal is not expanded: its
-        multiples lie in the ideal too.  With max_deg the walk stops at that
-        weighted degree; without it the walk ends only when the quotient is
-        finite-dimensional.
+        raised, so each monomial is reached once.  A head dividing x_i times
+        a standard parent has the child's exponent in x_i, or it would divide
+        the parent, so the child is tested only against those heads, indexed
+        per walk; each standard monomial writes its miss into the head lookup
+        memo.  A monomial in the head ideal is not expanded.  With max_deg the
+        walk stops at that weighted degree; without it the walk ends only
+        when the quotient is finite-dimensional.
         """
-        weights, units, n = self.weights, self._order.units, self.nvars
-        divisor = self._heads.divisor
-        stack = [(0, 0, 0)]  # key, weighted degree, first raisable variable
+        weights, units, n, guard = self.weights, self._order.units, self.nvars, self._order.guard
+        heads = self._heads
+        memo, miss = heads.memo, ~len(heads.guarded)
+        index = {}  # (variable, exponent) -> guarded heads with that exponent in that variable
+        for lead, guarded in zip(self._leads, heads.guarded):
+            for i, a in enumerate(lead):
+                if a:
+                    index.setdefault((i, a), []).append(guarded)
+        if heads.divisor(0) is not None:
+            return
+        stack = [(0, 0, 0, 0)]  # key, weighted degree, variable raised last, its exponent
         while stack:
-            key, deg, first = stack.pop()
-            if divisor(key) is not None:
-                continue
-            yield key, deg
-            for i in range(first, n):
-                raised = deg + weights[i]
-                if max_deg is None or raised <= max_deg:
-                    stack.append((key + units[i], raised, i))
+            key, deg, first, a = stack.pop()
+            for g in index.get((first, a), ()):
+                if (g - key) & guard == guard:
+                    break
+            else:
+                memo[key] = miss
+                yield key, deg
+                for i in range(first, n):
+                    raised = deg + weights[i]
+                    if max_deg is None or raised <= max_deg:
+                        stack.append((key + units[i], raised, i, a + 1 if i == first else 1))
 
     @cached_property
     def _staircase(self):

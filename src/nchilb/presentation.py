@@ -65,16 +65,16 @@ def kernel_ideal(m, d):
 def chern_monomial(b, d):
     """The e-monomial prod_k e_k^{b_{d-k}} attached to a B-tuple."""
     exp = tuple(b[d - k] for k in range(1, d + 1))
-    return SparsePoly.monomial(d, exp)
+    return SparsePoly._make(d, {exp: QQ(1)})
 
 
-def _add_pivot(pivots, poly):
-    """Reduce poly against the pivots, keyed by leading exponent; True when it leaves a new one.
+def _add_pivot(pivots, row):
+    """Reduce row, {exponent: coefficient}, against the pivots; True when it leaves a new one.
 
-    A nonzero remainder joins the pivots, scaled to leading coefficient 1.
-    False means poly lies in the span of the polynomials behind the pivots.
+    The pivots are keyed by leading exponent, and row is used up.  A
+    nonzero remainder joins the pivots, scaled to leading coefficient 1.
+    False means row lies in the span of the rows behind the pivots.
     """
-    row = dict(poly.terms)
     while row:
         lead = max(row)
         pivot = pivots.get(lead)
@@ -91,21 +91,14 @@ def _add_pivot(pivots, poly):
     return False
 
 
-def _linearly_independent(polys):
-    """Exact check that the polynomials are linearly independent over the rationals.
-
-    Each one is reduced against the pivots of the ones before it; the first
-    that reduces to zero is a dependence.
-    """
-    pivots = {}
-    return all(_add_pivot(pivots, p) for p in polys)
-
-
 def verify_chern_basis(m, d, gb=None):
     """Do the B-tuple monomials form a basis of the quotient ring?
 
-    True when their normal forms are linearly independent and their number
-    equals the quotient dimension.
+    True when their number equals the quotient dimension and their normal
+    forms are linearly independent.  A monomial that is its own normal form
+    is standard, a unit row in the basis of standard monomials; the other
+    rows are independent of those exactly when, restricted to the columns
+    that no unit row covers, they are independent among themselves.
     """
     if gb is None:
         gb = kernel_ideal(m, d)
@@ -115,7 +108,14 @@ def verify_chern_basis(m, d, gb=None):
     monomials = [chern_monomial(b, d) for b in btuples]
     if len(monomials) != gb.quotient_dimension():
         return False
-    return _linearly_independent([normal_form(p, gb) for p in monomials])
+    rows = [(p.terms, normal_form(p, gb).terms) for p in monomials]
+    units = {exp for own, terms in rows if terms == own for exp in terms}
+    pivots = {}
+    return all(
+        _add_pivot(pivots, {exp: c for exp, c in terms.items() if exp not in units})
+        for own, terms in rows
+        if terms != own
+    )
 
 
 def top_degree(m, d):
@@ -259,7 +259,7 @@ def minimal_generator_subset(gens, weights):
         pivots = {}
         for i in reversed(blocks[degree]):
             remainder = gens[i] if gb is None else normal_form(gens[i], gb)
-            if _add_pivot(pivots, remainder):
+            if _add_pivot(pivots, dict(remainder.terms)):
                 kept.append(i)
                 new.append(i)
     return [gens[i] for i in sorted(kept)]

@@ -21,6 +21,8 @@ broken engine would never end.  The new pairs of the
 Gebauer-Moeller update have the quadratic loop that tests every lcm
 against all later ones and the ones kept so far.  The local multiplicity has
 the loop that screens each draw by evaluating leading coefficients.  The
+Chern verdict has the one that pivots the normal forms of every B-tuple
+monomial, standard ones included.  The
 text parser has the regex grammar it replaced: a match per term and
 `Fraction(str)` per coefficient.
 """
@@ -34,7 +36,7 @@ import re
 import signal
 from fractions import Fraction
 
-from nchilb.forests import Forest, Tree, codim, d_value, enumerate_forests
+from nchilb.forests import Forest, Tree, codim, d_value, enumerate_btuples, enumerate_forests
 from nchilb.polynomial import (
     SparsePoly,
     discriminant,
@@ -542,6 +544,31 @@ def time_limit(seconds=10):
 # ---------------------------------------------------------------------------
 # tuple-exponent Buchberger: the chain criterion over the pairs done, and
 # division that rescans the pending terms for the largest one at every step
+
+
+def _linearly_independent(polys):
+    """Exact check that the polynomials are linearly independent over the rationals.
+
+    Each one is reduced against the pivots of the ones before it; the first
+    that reduces to zero is a dependence.
+    """
+    from nchilb.presentation import _add_pivot
+
+    pivots = {}
+    return all(_add_pivot(pivots, dict(p.terms)) for p in polys)
+
+
+def oracle_verify_chern_basis(m, d, gb):
+    """The B-tuple monomials are as many as the quotient dimension, and all their normal forms independent."""
+    from nchilb.groebner import normal_form
+    from nchilb.presentation import chern_monomial
+
+    if not gb.is_finite_dimensional():
+        return False
+    btuples = enumerate_btuples(m, d, 1)
+    if len(btuples) != gb.quotient_dimension():
+        return False
+    return _linearly_independent([normal_form(chern_monomial(b, d), gb) for b in btuples])
 
 
 def oracle_order_key(exp, weights):

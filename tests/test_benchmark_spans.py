@@ -4,8 +4,9 @@
 `perfbench/common.py` lists the spans each workload must produce.  Both
 files are read as source, never imported or changed, so a renamed or
 deleted name fails here instead of only in a traced benchmark run.  One
-traced `verify` child runs in a subprocess, so that a library path that
-still exists but no longer goes through the wrapped names fails here too.
+traced `verify` child and one traced `reduce` child run in subprocesses, so
+that a library path that still exists but no longer goes through the
+wrapped names fails here too.
 """
 
 import ast
@@ -52,18 +53,23 @@ def test_every_required_span_is_produced():
         assert not missing, f"{workload} requires spans that no wrap produces: {missing}"
 
 
-def test_traced_verify_child_checks_and_spans():
-    """A traced `chow verify` at (2, 5): stored e-generators equal, layer spans fired."""
+def _traced_child(task, m, d):
+    """The result line of one traced `perfbench/child.py` run."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ)
     src = os.path.join(root, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
-        [sys.executable, os.path.join(PERFBENCH, "child.py"), "--task", "verify",
-         "--m", "2", "--d", "5", "--trace", "1"],
+        [sys.executable, os.path.join(PERFBENCH, "child.py"), "--task", task,
+         "--m", str(m), "--d", str(d), "--trace", "1"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_verify_child_checks_and_spans():
+    """A traced `chow verify` at (2, 5): stored e-generators equal, layer spans fired."""
+    result = _traced_child("verify", 2, 5)
     # the traced check compares the traced to_elementary results with the stored file
     assert result["errors"] == []
     fired = {span[0] for span in result["spans"]}
@@ -75,3 +81,16 @@ def test_traced_verify_child_checks_and_spans():
     ):
         assert name in fired, f"span {name} did not fire"
     assert result["counts"]["coha.generators"] == 31
+
+
+def test_traced_reduce_child_checks_and_spans():
+    """A traced reduce at (5, 4): basis digest and verdicts checked, every span of reduce-stored fired.
+
+    A Chern verdict that skipped `normal_form` on its B-tuple monomials
+    would leave the span `groebner.normal_form` unfired here.
+    """
+    result = _traced_child("reduce", 5, 4)
+    assert result["errors"] == []
+    fired = {span[0] for span in result["spans"]}
+    missing = sorted(set(REQUIRED_SPANS["reduce-stored"]) - fired)
+    assert not missing, f"spans {missing} did not fire"

@@ -20,6 +20,9 @@ ones; the order-ideal walk of a basis against exhaustive box and cone
 walks; the minimal generator subset, one truncated basis per degree, each
 resuming the last, against the restart loop on kernel and planted
 weighted-homogeneous generators; the sparse rank check against sympy; the
+Chern verdict, which pivots only the non-standard B-tuple monomials,
+against the one that pivots them all, on kernel ideals moved off their
+staircase by a graded change of variables; the
 critical pairs and j-indices of the preorder walk against set differences
 and element counts; and the in-order forest recursion against compositions
 and one sort."""
@@ -40,7 +43,7 @@ import nchilb.groebner
 import nchilb.presentation
 from nchilb.cli import _worked_example_pair
 from nchilb.coha import CohaElement, _kernel_representatives, coha_mul, kernel_generators
-from nchilb.forests import critical_pairs, enumerate_forests, forest_to_jtuple
+from nchilb.forests import critical_pairs, enumerate_btuples, enumerate_forests, forest_to_jtuple
 from nchilb.groebner import GroebnerBasis, _new_pairs, _Order, buchberger, ideal_equals, normal_form
 from nchilb.polynomial import (
     SparsePoly,
@@ -60,15 +63,17 @@ from nchilb.polynomial import (
     to_elementary,
 )
 from nchilb.presentation import (
-    _linearly_independent,
+    chern_monomial,
     e_weights,
     kernel_ideal_generators,
     local_multiplicity,
     minimal_generator_subset,
+    verify_chern_basis,
 )
 from nchilb.rationals import QQ
 
 from helpers import (
+    _linearly_independent,
     _partitions_of,
     conjugate_partition,
     jtuple_oracle,
@@ -93,6 +98,7 @@ from helpers import (
     oracle_shuffle,
     oracle_standard_monomials,
     oracle_to_elementary,
+    oracle_verify_chern_basis,
     random_poly,
     time_limit,
 )
@@ -767,23 +773,39 @@ def head_sets(draw):
     return gb, heads
 
 
+def _raw_heads(weights, heads):
+    """A head_sets case: the basis of the monomials heads, as given."""
+    n = len(weights)
+    return GroebnerBasis(n, weights, tuple(SparsePoly.monomial(n, h) for h in heads)), heads
+
+
 @settings(max_examples=200, deadline=None)
 @given(head_sets(), st.integers(0, 12))
+# the unit ideal: 1 lies in the head ideal, and the walk yields nothing
+@example(_raw_heads((1, 2), [(1, 0), (0, 0)]), 4)
+# infinite quotients: read at degree 0 only, and with x_2 too heavy to raise
+@example(_raw_heads((1, 1), [(2, 0)]), 0)
+@example(_raw_heads((1, 5), [(3, 0)]), 4)
+# three heads with exponent 1 in x_2, so the walk tests them from one
+# bucket, where only the last one divides x_1^2 x_2
+@example(_raw_heads((1, 1, 1), [(0, 1, 3), (1, 1, 1), (2, 1, 0), (4, 0, 0), (0, 2, 0), (0, 0, 5)]), 12)
 def test_quotient_queries_equal_exhaustive_walks(case, max_deg):
     gb, heads = case
     weights = gb.weights
-    assert gb.hilbert_function(max_deg) == oracle_hilbert_function(heads, weights, max_deg)
-    finite = oracle_is_finite_dimensional(heads, gb.nvars)
-    assert gb.is_finite_dimensional() == finite
-    if finite:
-        standard = oracle_standard_monomials(heads, weights)
-        assert gb.standard_monomials() == standard
-        assert gb.quotient_dimension() == len(standard)
-    else:
-        with pytest.raises(ValueError):
-            gb.standard_monomials()
-        with pytest.raises(ValueError):
-            gb.quotient_dimension()
+    # a walk that misses a divisor of 1 never ends; stop it before it fills memory
+    with time_limit(2):
+        assert gb.hilbert_function(max_deg) == oracle_hilbert_function(heads, weights, max_deg)
+        finite = oracle_is_finite_dimensional(heads, gb.nvars)
+        assert gb.is_finite_dimensional() == finite
+        if finite:
+            standard = oracle_standard_monomials(heads, weights)
+            assert gb.standard_monomials() == standard
+            assert gb.quotient_dimension() == len(standard)
+        else:
+            with pytest.raises(ValueError):
+                gb.standard_monomials()
+            with pytest.raises(ValueError):
+                gb.quotient_dimension()
 
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1049,37 @@ def test_linearly_independent_agrees_with_sympy_rank(rows):
     matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows])
     rank = matrix.rank() if rows else 0
     assert _linearly_independent(polys) == (rank == len(rows))
+
+
+def _compose(g, images):
+    """g with its variable i replaced by images[i]."""
+    out = SparsePoly.zero(g.nvars)
+    for exp, c in g.terms.items():
+        term = SparsePoly(g.nvars, {(0,) * g.nvars: c})
+        for image, a in zip(images, exp):
+            term = term * image**a
+        out = out + term
+    return out
+
+
+def test_chern_verdict_equals_oracle_off_the_staircase():
+    # e_k -> e_k + c e_1 e_{k-1} is a graded automorphism, so the quotient
+    # keeps its Hilbert function while its staircase moves away from the
+    # B-tuple monomials: they stay a basis on most draws, which then needs
+    # the non-unit rows, and fail to be one on some
+    rng = random.Random(0)
+    seen = set()
+    for m, d in [(2, 3), (3, 3), (2, 4), (4, 3), (3, 4)]:
+        gens = kernel_ideal_generators(d, m)
+        e = [SparsePoly.variable(d, i) for i in range(d)]
+        exps = {next(iter(chern_monomial(b, d).terms)) for b in enumerate_btuples(m, d, 1)}
+        for _ in range(6):
+            images = e[:1] + [e[k] + rng.randint(-2, 2) * e[0] * e[k - 1] for k in range(1, d)]
+            gb = buchberger([_compose(g, images) for g in gens], e_weights(d))
+            verdict = verify_chern_basis(m, d, gb)
+            assert verdict == oracle_verify_chern_basis(m, d, gb)
+            seen.add((verdict, not exps <= set(gb.standard_monomials())))
+    assert {(True, True), (False, True)} <= seen
 
 
 def _rejected_draws(seed, trials):
