@@ -12,7 +12,6 @@ from .rationals import BACKEND, QQ
 from .polynomial import (
     SparsePoly,
     SymmetricPoly,
-    discriminant,
     elementary_symmetric,
     from_elementary,
     is_partition,

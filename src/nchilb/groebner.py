@@ -108,13 +108,13 @@ class _Order:
         """
         guard = self.guard
         packed, weighted = a
-        b_packed, b_weighted = b
-        ge = ((packed | guard) - b_packed) & guard  # guard bits where a's field >= b's
+        packed_b, weighted_b = b
+        ge = ((packed | guard) - packed_b) & guard  # guard bits where a's field >= b's
         mask = ge - (ge >> (FIELD_BITS - 1))
-        packed = (packed & mask) | (b_packed & ~mask)
-        ge = ((weighted | guard) - b_weighted) & guard
+        packed = (packed & mask) | (packed_b & ~mask)
+        ge = ((weighted | guard) - weighted_b) & guard
         mask = ge - (ge >> (FIELD_BITS - 1))
-        weighted = (weighted & mask) | (b_weighted & ~mask)
+        weighted = (weighted & mask) | (weighted_b & ~mask)
         wdeg = (weighted * self.ones >> self.shifts[-1]) & _FIELD
         return self._checked(wdeg) * self.top - packed
 
@@ -382,6 +382,9 @@ class _Run:
 def buchberger(gens, weights, *, max_deg=None, start=None):
     """Reduced basis of the ideal generated by gens, under the weighted order.
 
+    This is the one way to a `GroebnerBasis`, whose quotient queries hold
+    only for a reduced basis: it takes any polynomials and completes them.
+
     Coefficients are integers inside the engine: every member is kept
     primitive, an S-polynomial is (h_j/g) tail_i - (h_i/g) tail_j with
     g = gcd(h_i, h_j) for head coefficients h, and division is
@@ -445,16 +448,16 @@ def buchberger(gens, weights, *, max_deg=None, start=None):
     for terms in sorted(inputs, key=max):
         run.push_input(terms)
     run.until(max_deg)
-    return GroebnerBasis._packed(order, run.basis(), max_deg, None if max_deg is None else run)
+    return GroebnerBasis(order, run.basis(), max_deg=max_deg, run=None if max_deg is None else run)
 
 
 class GroebnerBasis:
     """A reduced basis together with its weighted monomial order.
 
-    The members are kept as the engine's packed heads and primitive integer
-    tails.  `polys`, the members as polynomials, is built on first read:
-    monic over the rationals for a basis from `buchberger`, the given
-    members for one built here from polys.  `max_deg` is None for a whole
+    Only `buchberger` makes one, from the order, the members as the
+    engine's packed heads and primitive integer tails, and for a truncated
+    basis its degree and run.  `polys`, the members monic over the
+    rationals, is built on first read.  `max_deg` is None for a whole
     basis.  A basis truncated at max_deg (see `buchberger`) is a Groebner
     basis only up to that weighted degree: `normal_form` and `contains`
     refuse a polynomial above it, and `is_finite_dimensional`,
@@ -466,30 +469,7 @@ class GroebnerBasis:
     after construction.
     """
 
-    def __init__(self, nvars, weights, polys):
-        order = _Order(tuple(weights), nvars)
-        heads = _Heads(order)
-        for i, p in enumerate(polys):
-            if p.nvars != nvars:
-                raise ValueError(f"basis member {i} ({p}) has {p.nvars} variables, basis has {nvars}")
-            if p.is_zero():
-                raise ValueError(f"basis member {i} is zero")
-            terms, _ = _integral(p, order)
-            heads.add_primitive(sorted(terms.items(), reverse=True))
-        self._init(order, heads, None, None)
-        self.polys = polys
-
-    @classmethod
-    def _packed(cls, order, heads, max_deg, run):
-        """The basis whose members are heads, truncated at max_deg unless it is None.
-
-        run is the `_Run` a truncated basis resumes from, or None.
-        """
-        self = object.__new__(cls)
-        self._init(order, heads, max_deg, run)
-        return self
-
-    def _init(self, order, heads, max_deg, run):
+    def __init__(self, order, heads, *, max_deg=None, run=None):
         self.nvars = order.nvars
         self.weights = order.weights
         self.max_deg = max_deg

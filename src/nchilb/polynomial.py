@@ -34,7 +34,6 @@ __all__ = [
     "elementary_symmetric",
     "monomial_symmetric",
     "schur",
-    "discriminant",
     "rho",
     "rho_pq",
     "is_symmetric",
@@ -79,16 +78,16 @@ class SparsePoly:
                 coef = QQ(coef)
                 if coef:
                     clean[tuple(exp)] = coef
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        self.nvars = nvars
+        self.terms = clean
 
     @classmethod
     def _make(cls, nvars, terms):
         # internal fast path: terms is a fresh dict, zero coefficients allowed
         _check_nvars(nvars)
         self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        self.nvars = nvars
+        self.terms = {e: c for e, c in terms.items() if c}
         return self
 
     @classmethod
@@ -111,9 +110,6 @@ class SparsePoly:
         exp = [0] * nvars
         exp[index] = 1
         return cls._make(nvars, {tuple(exp): _ONE})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparsePoly is immutable")
 
     def __bool__(self):
         return bool(self.terms)
@@ -152,8 +148,8 @@ class SparsePoly:
                 else:
                     del terms[exp]
         result = object.__new__(SparsePoly)
-        object.__setattr__(result, "nvars", self.nvars)
-        object.__setattr__(result, "terms", terms)
+        result.nvars = self.nvars
+        result.terms = terms
         return result
 
     __radd__ = __add__
@@ -250,13 +246,20 @@ class SymmetricPoly:
     nonzero integers: the polynomial is the sum of coefficients[mu] /
     denominator times the monomial symmetric function m_mu.  This is the
     form that shuffle products and the change of basis compute with;
-    `poly` expands it into x-space on each read and keeps no copy.  Not
-    mutated after construction.
+    `poly` expands it into x-space on each read and keeps no copy.  A key
+    that is no such partition, or a denominator that is not a positive int,
+    raises ValueError.  Not mutated after construction.
     """
 
     __slots__ = ("nvars", "coefficients", "denominator")
 
     def __init__(self, nvars, coefficients, denominator=1):
+        for mu in coefficients:
+            # nvars parts, each at least the next and the last at least 0
+            if len(mu) != nvars or any(map(operator.lt, mu, mu[1:] + (0,))):
+                raise ValueError(f"{mu} is not a partition padded to {nvars} parts")
+        if type(denominator) is not int or denominator < 1:
+            raise ValueError(f"denominator must be a positive int, got {denominator!r}")
         self.nvars = nvars
         self.coefficients = {mu: c for mu, c in coefficients.items() if c}
         self.denominator = denominator
@@ -321,16 +324,6 @@ def _padded(lam, d):
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} parts")
     return lam + (0,) * (d - len(lam))
-
-
-@lru_cache(maxsize=None)
-def discriminant(d):
-    """The Vandermonde product of (x_j - x_i) over i < j; 1 for d <= 1."""
-    poly = SparsePoly.const(d, 1)
-    for i in range(d):
-        for j in range(i + 1, d):
-            poly = poly * (SparsePoly.variable(d, j) - SparsePoly.variable(d, i))
-    return poly
 
 
 def rho(f):
@@ -500,13 +493,9 @@ def _orbit_coefficients(f, p):
     orbit must be complete.
     """
     terms = f.terms
-    full = p == f.nvars
     members = {}
     for exp, coef in terms.items():
-        if full:
-            rep = tuple(sorted(exp, reverse=True))
-        else:
-            rep = tuple(sorted(exp[:p], reverse=True)) + tuple(sorted(exp[p:], reverse=True))
+        rep = tuple(sorted(exp[:p], reverse=True)) + tuple(sorted(exp[p:], reverse=True))
         found = terms.get(rep)
         if found is not coef and found != coef:
             return None

@@ -28,6 +28,7 @@ text parser has the regex grammar it replaced: a match per term and
 """
 
 import contextlib
+import functools
 import heapq
 import itertools
 import math
@@ -39,7 +40,6 @@ from fractions import Fraction
 from nchilb.forests import Forest, Tree, codim, d_value, enumerate_btuples, enumerate_forests
 from nchilb.polynomial import (
     SparsePoly,
-    discriminant,
     elementary_symmetric,
     from_elementary,
     partitions_in_box,
@@ -286,6 +286,16 @@ def _signed_permutations(d):
         )
         perms.append((sigma, -1 if inversions & 1 else 1))
     return tuple(perms)
+
+
+@functools.lru_cache(maxsize=None)
+def discriminant(d):
+    """The Vandermonde product of (x_j - x_i) over i < j; 1 for d <= 1."""
+    poly = SparsePoly.const(d, 1)
+    for i in range(d):
+        for j in range(i + 1, d):
+            poly = poly * (SparsePoly.variable(d, j) - SparsePoly.variable(d, i))
+    return poly
 
 
 def antisymmetrize(f):

@@ -44,7 +44,7 @@ import nchilb.presentation
 from nchilb.cli import _worked_example_pair
 from nchilb.coha import CohaElement, _kernel_representatives, coha_mul, kernel_generators
 from nchilb.forests import critical_pairs, enumerate_btuples, enumerate_forests, forest_to_jtuple
-from nchilb.groebner import GroebnerBasis, _new_pairs, _Order, buchberger, ideal_equals, normal_form
+from nchilb.groebner import _new_pairs, _Order, buchberger, ideal_equals, normal_form
 from nchilb.polynomial import (
     SparsePoly,
     SymmetricPoly,
@@ -750,45 +750,41 @@ def test_kernel_ideal_equals_sympy_groebner_ideal(m, d):
 
 @st.composite
 def head_sets(draw):
-    """Monomial heads in 0-4 variables with positive weights.
+    """Monomial heads in 0-4 variables with positive weights, and their basis.
 
     Often every variable gets a pure power (a finite quotient); sometimes
-    the heads include 1 (the unit ideal).  Half the time the basis is the
-    reduced one from buchberger, otherwise the raw heads, redundant ones
-    included.
+    the heads include 1 (the unit ideal).  There is at least one head, as
+    buchberger needs a nonzero generator.  The basis is the reduced one
+    from buchberger; the heads are returned as drawn, redundant ones
+    included, and span the same head ideal.
     """
     n = draw(st.integers(0, 4))
     weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
-    heads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+    heads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=5))
     if draw(st.booleans()):
         for i in range(n):
             heads.append(tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(n)))
     if draw(st.integers(0, 9)) == 0:
         heads.append((0,) * n)
-    monomials = [SparsePoly.monomial(n, h) for h in heads]
-    if monomials and draw(st.booleans()):
-        gb = buchberger(monomials, weights)
-    else:
-        gb = GroebnerBasis(n, weights, tuple(monomials))
-    return gb, heads
+    return _monomial_ideal(weights, heads)
 
 
-def _raw_heads(weights, heads):
-    """A head_sets case: the basis of the monomials heads, as given."""
+def _monomial_ideal(weights, heads):
+    """A head_sets case: the reduced basis of the monomials heads, and heads."""
     n = len(weights)
-    return GroebnerBasis(n, weights, tuple(SparsePoly.monomial(n, h) for h in heads)), heads
+    return buchberger([SparsePoly.monomial(n, h) for h in heads], weights), heads
 
 
 @settings(max_examples=200, deadline=None)
 @given(head_sets(), st.integers(0, 12))
 # the unit ideal: 1 lies in the head ideal, and the walk yields nothing
-@example(_raw_heads((1, 2), [(1, 0), (0, 0)]), 4)
+@example(_monomial_ideal((1, 2), [(1, 0), (0, 0)]), 4)
 # infinite quotients: read at degree 0 only, and with x_2 too heavy to raise
-@example(_raw_heads((1, 1), [(2, 0)]), 0)
-@example(_raw_heads((1, 5), [(3, 0)]), 4)
+@example(_monomial_ideal((1, 1), [(2, 0)]), 0)
+@example(_monomial_ideal((1, 5), [(3, 0)]), 4)
 # three heads with exponent 1 in x_2, so the walk tests them from one
-# bucket, where only the last one divides x_1^2 x_2
-@example(_raw_heads((1, 1, 1), [(0, 1, 3), (1, 1, 1), (2, 1, 0), (4, 0, 0), (0, 2, 0), (0, 0, 5)]), 12)
+# bucket, in ascending key order, where only the last one divides x_1^2 x_2
+@example(_monomial_ideal((1, 1, 1), [(0, 1, 2), (1, 1, 1), (2, 1, 0), (4, 0, 0), (0, 2, 0), (0, 0, 5)]), 12)
 def test_quotient_queries_equal_exhaustive_walks(case, max_deg):
     gb, heads = case
     weights = gb.weights
@@ -987,9 +983,8 @@ def test_resume_refuses_what_it_cannot_extend():
         buchberger([x], (1, 2), max_deg=3, start=start)
     with pytest.raises(ValueError, match="disagree on variable count"):
         buchberger([SparsePoly.variable(3, 0)], (1, 1), max_deg=3, start=start)
-    for whole in (buchberger([x * y], (1, 1)), GroebnerBasis(2, (1, 1), (x * y,))):
-        with pytest.raises(ValueError, match="start must be a truncated basis from buchberger"):
-            buchberger([x], (1, 1), max_deg=3, start=whole)
+    with pytest.raises(ValueError, match="start must be a truncated basis from buchberger"):
+        buchberger([x], (1, 1), max_deg=3, start=buchberger([x * y], (1, 1)))
     # no new generators: the run only goes on to the higher degree
     assert buchberger([], (1, 1), max_deg=4, start=start).polys == (x * y,)
     # and takes up the pair it held back there: y(x^2 - y^2) - x(xy) = -y^3
@@ -1004,14 +999,16 @@ def test_polys_built_on_first_read_are_the_packed_members(case):
     gens, weights = case
     with time_limit():
         gb = buchberger(gens, weights)
-    rebuilt = GroebnerBasis(gb.nvars, weights, gb.polys)
-    assert rebuilt.polys == gb.polys
-    # the packed members were primitive with positive heads, as rebuilding makes them
-    packed, again = gb._heads, rebuilt._heads
-    assert (packed.leads, packed.coefs, packed.tails) == (again.leads, again.coefs, again.tails)
-    for p in gb.polys:
+    packed, exp = gb._heads, gb._order.exp
+    assert len(gb.polys) == len(packed.leads)
+    for p, lead, coef, tail in zip(gb.polys, packed.leads, packed.coefs, packed.tails):
+        # each packed member is primitive with a positive head ..
+        assert coef > 0 and math.gcd(coef, *(c for _, c in tail)) == 1
+        # .. and its poly is that member made monic over QQ
+        member = {exp(lead): coef} | {exp(lead + delta): c for delta, c in tail}
+        assert p.terms == {e: QQ(c, coef) for e, c in member.items()}
         assert all(type(c) is QQ for c in p.terms.values())
-        assert p.terms[max(p.terms, key=lambda exp: oracle_order_key(exp, weights))] == 1
+        assert max(p.terms, key=lambda e: oracle_order_key(e, weights)) == exp(lead)
 
 
 @pytest.mark.parametrize("m,d", [(m, d) for m in range(5) for d in range(1, 5)])

@@ -10,7 +10,6 @@ import pytest
 from nchilb.polynomial import (
     SparsePoly,
     SymmetricPoly,
-    discriminant,
     elementary_symmetric,
     from_elementary,
     is_partition,
@@ -30,6 +29,7 @@ from nchilb.polynomial import (
 from helpers import (
     NonDivisibleError,
     antisymmetrize,
+    discriminant,
     exact_divide,
     jacobi_trudi_schur,
     random_poly,
@@ -255,6 +255,23 @@ def test_symmetric_poly_partition_form():
         SymmetricPoly.from_poly(x(1, 2))
 
 
+@pytest.mark.parametrize(
+    "coefficients, denominator, message",
+    [
+        ({(0, 1): 1}, 1, "not a partition"),
+        ({(1,): 1}, 1, "not a partition"),
+        ({(2, 1, 0): 1}, 1, "not a partition"),
+        ({(1, -1): 1}, 1, "not a partition"),
+        ({(1, 0): 1}, 0, "positive int"),
+        ({(1, 0): 1}, Fraction(1, 2), "positive int"),
+    ],
+    ids=["increasing", "short", "long", "negative", "zero_denominator", "fraction_denominator"],
+)
+def test_symmetric_poly_rejects_malformed_input(coefficients, denominator, message):
+    with pytest.raises(ValueError, match=message):
+        SymmetricPoly(2, coefficients, denominator)
+
+
 def test_symmetric_poly_keeps_no_x_space_state():
     assert SymmetricPoly.__slots__ == ("nvars", "coefficients", "denominator")
     s = SymmetricPoly(2, {(1, 0): 3}, 2)
@@ -267,11 +284,10 @@ def test_symmetric_poly_keeps_no_x_space_state():
     [
         lambda: is_symmetric(x(1, 2), block=(-1, 3)),
         lambda: rho_pq(x(1, 2), 3, -1),
-        lambda: discriminant(-1),
         lambda: SparsePoly.zero(-1),
         lambda: SparsePoly.const(-2, 1),
     ],
-    ids=["is_symmetric_block", "rho_pq", "discriminant", "zero", "const"],
+    ids=["is_symmetric_block", "rho_pq", "zero", "const"],
 )
 def test_negative_sizes_rejected(build):
     with pytest.raises(ValueError, match="non-negative"):

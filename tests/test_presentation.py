@@ -241,8 +241,7 @@ def test_presentation_report_walks_the_order_ideal_once(monkeypatch):
 @pytest.mark.parametrize("m, d", [(2, 5), (3, 4), (4, 4)])
 def test_staircase_walk_fills_the_head_lookup_memo(m, d):
     # a fresh basis, so the cached one's memo from other tests plays no part
-    gb = kernel_ideal(m, d)
-    gb = GroebnerBasis(gb.nvars, gb.weights, gb.polys)
+    gb = buchberger(kernel_ideal_generators(d, m), e_weights(d))
     memo = gb._heads.memo
     assert not memo
     gb.quotient_dimension()

@@ -42,7 +42,7 @@ def test_package_imports_only_exported_names():
 
 
 def test_removed_bialternant_names_are_gone():
-    for name in ("antisymmetrize", "exact_divide", "NonDivisibleError"):
+    for name in ("antisymmetrize", "exact_divide", "NonDivisibleError", "discriminant"):
         assert not hasattr(nchilb, name)
         assert not hasattr(nchilb.polynomial, name)
 
