@@ -17,8 +17,10 @@ one mask.  A field holds exponents below 2^31.  Weights are at least 1, so
 no exponent exceeds its monomial's weighted degree, and every monomial the
 engine makes lies below an input monomial or a pair lcm in the order;
 packing those raises OverflowError for a weighted degree of 2^31 or more,
-and so does `hilbert_function` for such a max_deg.  The lcm of two heads
-is a field-wise max on their packed exponents, with no tuple built.
+and so does `hilbert_function` for such a max_deg.  One `struct` call
+packs or unpacks the exponents of a key.  The lcm of two heads is a
+field-wise max on their packed exponents, with no tuple built, by a closure
+that each order makes once over its constants.
 
 Coefficients are integers inside the engine.  Inputs are cleared of
 denominators, every basis member is kept primitive with a positive head
@@ -30,7 +32,9 @@ the staircase walk, which indexes the heads by (variable, exponent), writes
 the misses of the standard monomials there too.  The inputs and the pairs go
 through one queue: every input before every pair, and the pairs by the
 weighted degree of their lcm.  The Gebauer-Moeller update thins new pairs
-when a polynomial joins and queued ones when popped.
+when a polynomial joins, in one pass over the active members that also
+drops those whose heads the new head divides, and queued ones when popped.
+A normal form that reduces none of its input's terms is the input itself.
 
 Bases are reduced: no head term divides another, every tail term
 irreducible.  They stay in the packed integer form; their `polys`, monic
@@ -44,9 +48,10 @@ the generators up to it.
 
 import heapq
 import itertools
+import struct
 from functools import cached_property
 from math import gcd
-from operator import lshift, mul
+from operator import mul
 
 from .polynomial import SparsePoly, _clear_denominators
 from .rationals import QQ
@@ -74,13 +79,15 @@ class _Order:
         self.top = 1 << (FIELD_BITS * nvars)
         self.shifts = tuple(FIELD_BITS * i for i in range(nvars))
         self.guard = sum(_LIMIT << shift for shift in self.shifts)
-        self.ones = sum(1 << shift for shift in self.shifts)
         # the key of each variable
         self.units = tuple(w * self.top - (1 << (FIELD_BITS * i)) for i, w in enumerate(weights))
+        packing = struct.Struct(f"<{nvars}I")  # exponents below 2^31 as little-endian fields
+        self.pack, self.unpack, self.size = packing.pack, packing.unpack, packing.size
+        self.lcm = self._lcm()
 
     def key(self, exp):
         wdeg = self._checked(sum(map(mul, self.weights, exp)))
-        return wdeg * self.top - sum(map(lshift, exp, self.shifts))
+        return wdeg * self.top - int.from_bytes(self.pack(*exp), "little")
 
     @staticmethod
     def _checked(wdeg):
@@ -93,38 +100,47 @@ class _Order:
 
     def fields(self, key):
         """The packed exponents of key and the packed weighted exponents w_i a_i, for `lcm`."""
-        exp = self.exp(key)
-        return -key % self.top, sum(map(lshift, map(mul, self.weights, exp), self.shifts))
+        weighted = self.pack(*map(mul, self.weights, self.exp(key)))
+        return -key % self.top, int.from_bytes(weighted, "little")
 
-    def lcm(self, a, b):
-        """Key of the lcm of two monomials given by their `fields`.
+    def _lcm(self):
+        """The function lcm(a, b): the key of the lcm of two monomials given by their `fields`.
 
         Each field of either packing is below 2^31 (w_i a_i is at most the
         weighted degree), so a field-wise max is a few masks, and w_i max(a_i,
         b_i) = max(w_i a_i, w_i b_i).  The weighted degree, the sum of the
         weighted fields, sits in the top field of their product with
         1 + 2^32 + ..: every partial sum is at most the lcm's weighted degree
-        < 2^32, so no field carries.
+        < 2^32, so no field carries.  A closure over the order's constants,
+        made once per order.
         """
-        guard = self.guard
-        packed, weighted = a
-        packed_b, weighted_b = b
-        ge = ((packed | guard) - packed_b) & guard  # guard bits where a's field >= b's
-        mask = ge - (ge >> (FIELD_BITS - 1))
-        packed = (packed & mask) | (packed_b & ~mask)
-        ge = ((weighted | guard) - weighted_b) & guard
-        mask = ge - (ge >> (FIELD_BITS - 1))
-        weighted = (weighted & mask) | (weighted_b & ~mask)
-        wdeg = (weighted * self.ones >> self.shifts[-1]) & _FIELD
-        return self._checked(wdeg) * self.top - packed
+        guard, top, checked = self.guard, self.top, self._checked
+        ones = sum(1 << shift for shift in self.shifts)
+        high = FIELD_BITS * max(self.nvars - 1, 0)  # the top field
+        down = FIELD_BITS - 1
+
+        def lcm(a, b):
+            packed, weighted = a
+            packed_b, weighted_b = b
+            ge = ((packed | guard) - packed_b) & guard  # guard bits where a's field >= b's
+            mask = ge - (ge >> down)
+            packed = (packed & mask) | (packed_b & ~mask)
+            ge = ((weighted | guard) - weighted_b) & guard
+            mask = ge - (ge >> down)
+            weighted = (weighted & mask) | (weighted_b & ~mask)
+            wdeg = (weighted * ones >> high) & _FIELD
+            if wdeg >= _LIMIT:
+                checked(wdeg)
+            return wdeg * top - packed
+
+        return lcm
 
     def degree(self, key):
         # K = wdeg * top - P with 0 <= P < top
         return -(-key // self.top)
 
     def exp(self, key):
-        packed = -key % self.top
-        return tuple((packed >> shift) & _FIELD for shift in self.shifts)
+        return self.unpack((-key % self.top).to_bytes(self.size, "little"))
 
     def divides(self, small, big):
         return (small + self.guard - big) & self.guard == self.guard
@@ -240,7 +256,11 @@ def _to_poly(terms, den, order):
 
 
 def normal_form(poly, gb):
-    """Remainder of poly on division by the basis; zero iff poly is in the ideal."""
+    """Remainder of poly on division by the basis; zero iff poly is in the ideal.
+
+    poly itself when no head divides any of its terms: division never brings
+    back a key it reduced, so a remainder on the same keys reduced none.
+    """
     if poly.nvars != gb.nvars:
         raise ValueError(f"polynomial has {poly.nvars} variables, basis has {gb.nvars}")
     work, den = _integral(poly, gb._order)
@@ -249,37 +269,53 @@ def normal_form(poly, gb):
             f"the basis is truncated at weighted degree {gb.max_deg}, below the "
             f"polynomial's weighted degree {gb._order.degree(max(work))}"
         )
-    remainder, scale = _reduce(work, gb._heads)
+    remainder, scale = _reduce(dict(work), gb._heads)
+    if len(remainder) == len(work) and all(key in work for key, _ in remainder):
+        return poly
     return _to_poly(remainder, den * scale, gb._order)
 
 
-def _new_pairs(new, lead, leads, guard):
-    """The pairs of the Gebauer-Moeller update to queue for a new head.
+def _join(order, leads, fields, active, h):
+    """The Gebauer-Moeller update for member h joining: its pairs to queue, and the next `active`.
 
-    `new` lists (lcm key, member) over the active members in order, `lead`
-    is the new head key and `guard` the order's guard bits.  A pair whose
-    heads are coprime is never queued.  Another pair goes when another new
-    lcm strictly divides its own, when a later pair has an equal lcm, or
-    when a coprime pair has an equal lcm; the survivors are returned in the
-    order of `new`.
+    One pass over `active` pairs each member g with h: it enters their lcm
+    in a map from lcm to the position of its last pair, or None when a
+    coprime pair has it, and keeps g for the next `active` unless h's head
+    divides g's.  A pair whose heads are coprime is never queued.  Another
+    pair goes when another new lcm strictly divides its own, when a later
+    pair has an equal lcm, or when a coprime pair has an equal lcm.
 
-    One pass over the distinct lcms in ascending key order: a divisor of an
-    lcm has no larger key, so each lcm is tested only against the smaller
-    ones that no other lcm strictly divides.
+    Then one scan over the distinct lcms in ascending key order: a divisor
+    of an lcm has no larger key, so each lcm is tested only against the
+    smaller ones that no other lcm strictly divides.  Returns the surviving
+    pairs as (lcm key, g) in the order of `active`, and the next `active`,
+    which ends with h.
     """
-    last = {}  # lcm -> index of its last pair, or None when a coprime pair has it
-    for k, (l, g) in enumerate(new):
+    lead, lcm, guard = leads[h], order.lcm, order.guard
+    fields_h, guarded_lead = fields[h], lead + guard
+    last = {}  # lcm -> position in active of its last pair, or None when a coprime pair has it
+    rest = []
+    for k, g in enumerate(active):
+        head = leads[g]
+        l = lcm(fields[g], fields_h)
         if last.get(l, 0) is not None:
-            last[l] = None if l == leads[g] + lead else k
+            last[l] = None if l == head + lead else k
+        if (guarded_lead - head) & guard != guard:
+            rest.append(g)
+    rest.append(h)
     minimal = []  # guarded keys of the lcms no other lcm strictly divides
     keep = []
     for l in sorted(last):
-        if any((m - l) & guard == guard for m in minimal):
-            continue
-        minimal.append(l + guard)
-        if last[l] is not None:
-            keep.append(last[l])
-    return [new[k] for k in sorted(keep)]
+        for m in minimal:
+            if (m - l) & guard == guard:
+                break
+        else:
+            minimal.append(l + guard)
+            k = last[l]
+            if k is not None:
+                keep.append((k, l))
+    keep.sort()
+    return [(l, active[k]) for k, l in keep], rest
 
 
 class _Run:
@@ -320,41 +356,40 @@ class _Run:
     def until(self, max_deg):
         """Pop inputs and pairs until the queue is empty or its next pair lies above max_deg."""
         order, heads, queue, serial, fields = self.order, self.heads, self.queue, self.serial, self.fields
-        divides, guard = order.divides, order.guard
+        lcm, guard = order.lcm, order.guard
         leads, guarded, coefs, tails = heads.leads, heads.guarded, heads.coefs, heads.tails
         active = self.active
-
-        def lcm_key(i, j):
-            return order.lcm(fields[i], fields[j])
-
         while queue and (max_deg is None or queue[0][0] <= max_deg):
             _, _, work, pair = heapq.heappop(queue)
             if pair:
                 i, j, l = pair
                 # A member k that joined after the pair was queued shadows it
                 # when its head divides l and both of its lcms with i and j differ from l.
-                if any(
-                    (guarded[k] - l) & guard == guard and lcm_key(i, k) != l != lcm_key(j, k)
-                    for k in range(j + 1, len(leads))
-                ):
+                fields_i, fields_j = fields[i], fields[j]
+                for k in range(j + 1, len(leads)):
+                    if (guarded[k] - l) & guard == guard and (
+                        lcm(fields_i, fields[k]) != l != lcm(fields_j, fields[k])
+                    ):
+                        break
+                else:
+                    g = gcd(coefs[i], coefs[j])
+                    a, b = coefs[j] // g, coefs[i] // g
+                    work = {l + delta: a * c for delta, c in tails[i]}
+                    for delta, c in tails[j]:
+                        target = l + delta
+                        acc = work.get(target)
+                        work[target] = -b * c if acc is None else acc - b * c
+                if work is None:
                     continue
-                g = gcd(coefs[i], coefs[j])
-                a, b = coefs[j] // g, coefs[i] // g
-                work = {l + delta: a * c for delta, c in tails[i]}
-                for delta, c in tails[j]:
-                    target = l + delta
-                    acc = work.get(target)
-                    work[target] = -b * c if acc is None else acc - b * c
             reduced, _ = _reduce(work, heads)
             if not reduced:
                 continue
             heads.add_primitive(reduced)
-            lead = reduced[0][0]
-            fields.append(order.fields(lead))
+            fields.append(order.fields(reduced[0][0]))
             h = len(leads) - 1
-            for l, g in _new_pairs([(lcm_key(g, h), g) for g in active], lead, leads, guard):
+            pairs, active = _join(order, leads, fields, active, h)
+            for l, g in pairs:
                 heapq.heappush(queue, (order.degree(l), next(serial), None, (g, h, l)))
-            active = [g for g in active if not divides(lead, leads[g])] + [h]
         self.active = active
 
     def basis(self):
@@ -397,11 +432,12 @@ def buchberger(gens, weights, *, max_deg=None, start=None):
     higher-degree pairs lets their coefficients swell.  The pairs follow by
     the weighted degree of their lcm, first in first out within a degree,
     so runs are reproducible.  A popped input or S-polynomial is reduced
-    and joins when nonzero.  The Gebauer-Moeller update thins the pairs: of
-    a new member's pairs it keeps one per minimal lcm and none with coprime
-    heads (`_new_pairs`), it leaves older members whose heads the new head
-    divides out of future pairs, and a popped pair is dropped when a member
-    that joined after it was queued shadows it.
+    and joins when nonzero.  The Gebauer-Moeller update thins the pairs: in
+    one pass over the active members (`_join`), of a new member's pairs it
+    keeps one per minimal lcm and none with coprime heads, and it leaves
+    older members whose heads the new head divides out of future pairs; a
+    popped pair is dropped when a member that joined after it was queued
+    shadows it.
 
     With max_deg the generators must be weighted-homogeneous (ValueError
     otherwise).  Inputs above max_deg are left out and the loop stops before
@@ -474,9 +510,13 @@ class GroebnerBasis:
         self.weights = order.weights
         self.max_deg = max_deg
         self._run = run
-        self._leads = tuple(map(order.exp, heads.leads))
         self._order = order
         self._heads = heads
+
+    @cached_property
+    def _leads(self):
+        """The head exponents, in ascending order."""
+        return tuple(map(self._order.exp, self._heads.leads))
 
     @cached_property
     def polys(self):

@@ -62,10 +62,13 @@ def kernel_ideal(m, d):
     return buchberger(kernel_ideal_generators(d, m), e_weights(d))
 
 
+_ONE = QQ(1)
+
+
 def chern_monomial(b, d):
     """The e-monomial prod_k e_k^{b_{d-k}} attached to a B-tuple."""
     exp = tuple(b[d - k] for k in range(1, d + 1))
-    return SparsePoly._make(d, {exp: QQ(1)})
+    return SparsePoly._make(d, {exp: _ONE})
 
 
 def _add_pivot(pivots, row):
@@ -96,9 +99,10 @@ def verify_chern_basis(m, d, gb=None):
 
     True when their number equals the quotient dimension and their normal
     forms are linearly independent.  A monomial that is its own normal form
-    is standard, a unit row in the basis of standard monomials; the other
-    rows are independent of those exactly when, restricted to the columns
-    that no unit row covers, they are independent among themselves.
+    (`normal_form` returns it as it is) is standard, a unit row in the basis
+    of standard monomials; the other rows are independent of those exactly
+    when, restricted to the columns that no unit row covers, they are
+    independent among themselves.
     """
     if gb is None:
         gb = kernel_ideal(m, d)
@@ -108,13 +112,13 @@ def verify_chern_basis(m, d, gb=None):
     monomials = [chern_monomial(b, d) for b in btuples]
     if len(monomials) != gb.quotient_dimension():
         return False
-    rows = [(p.terms, normal_form(p, gb).terms) for p in monomials]
-    units = {exp for own, terms in rows if terms == own for exp in terms}
+    rows = [(p, normal_form(p, gb)) for p in monomials]
+    units = {exp for p, form in rows if form is p for exp in p.terms}
     pivots = {}
     return all(
-        _add_pivot(pivots, {exp: c for exp, c in terms.items() if exp not in units})
-        for own, terms in rows
-        if terms != own
+        _add_pivot(pivots, {exp: c for exp, c in form.terms.items() if exp not in units})
+        for p, form in rows
+        if form is not p
     )
 
 

@@ -44,7 +44,7 @@ import nchilb.presentation
 from nchilb.cli import _worked_example_pair
 from nchilb.coha import CohaElement, _kernel_representatives, coha_mul, kernel_generators
 from nchilb.forests import critical_pairs, enumerate_btuples, enumerate_forests, forest_to_jtuple
-from nchilb.groebner import _new_pairs, _Order, buchberger, ideal_equals, normal_form
+from nchilb.groebner import _join, _Order, buchberger, ideal_equals, normal_form
 from nchilb.polynomial import (
     SparsePoly,
     SymmetricPoly,
@@ -511,6 +511,43 @@ def test_normal_form_equals_tuple_oracle(case, data):
         assert gb.contains(g)
 
 
+@st.composite
+def division_cases(draw):
+    """Generators, weights, a polynomial to divide, and whether to keep only its terms no head divides."""
+    gens, weights = draw(ideals())
+    n = gens[0].nvars
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6, unique=True))
+    coefs = draw(st.lists(fractions, min_size=len(exps), max_size=len(exps)))
+    return gens, weights, SparsePoly(n, dict(zip(exps, coefs))), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+# x^2 + x reduces to x + y by x^2 - y: as many terms as the input, not the same ones
+@example(
+    (
+        [SparsePoly(2, {(2, 0): 1, (0, 1): -1})],
+        (1, 1),
+        SparsePoly(2, {(2, 0): 1, (1, 0): 1}),
+        False,
+    )
+)
+def test_normal_form_returns_an_irreducible_input_as_it_is(case):
+    gens, weights, p, irreducible_only = case
+    with time_limit():
+        gb = buchberger(gens, weights)
+    leads = [max(g.terms, key=lambda exp: oracle_order_key(exp, weights)) for g in gb.polys]
+
+    def irreducible(exp):
+        return not any(oracle_divides(lead, exp) for lead in leads)
+
+    if irreducible_only:
+        p = SparsePoly(p.nvars, {exp: c for exp, c in p.terms.items() if irreducible(exp)})
+    form = normal_form(p, gb)
+    assert (form is p) == all(map(irreducible, p.terms))
+    assert form == oracle_normal_form(p, gb.polys, weights)
+
+
 # head coefficients with pairwise partial gcds: reducing 10 by 6 scales by 3,
 # 15 by 6 by 2, 6 by 10 by 5; and each divides a multiple of itself
 PLANTED = st.sampled_from([6, 10, 15, -6, -10, -15, 30])
@@ -564,20 +601,36 @@ def head_sets(draw):
     return order, leads, active, draw(vector)
 
 
+def _joined(case):
+    """`_join` of the new head of a `head_sets` case as the last member: (pairs, next active)."""
+    order, leads, active, exp = case
+    members = leads + [order.key(exp)]
+    return _join(order, members, [order.fields(key) for key in members], active, len(leads))
+
+
 XY = _Order((1, 1), 2)
+# y is coprime to the new head x and comes first; xy has the same lcm
+COPRIME_FIRST = (XY, [XY.key((0, 1)), XY.key((1, 1))], [0, 1], (1, 0))
 
 
 @settings(max_examples=400, deadline=None)
 @given(head_sets())
-# y is coprime to the new head x and comes first; xy has the same lcm
-@example((XY, [XY.key((0, 1)), XY.key((1, 1))], [0, 1], (1, 0)))
+@example(COPRIME_FIRST)
 def test_new_pairs_equal_quadratic_thinning(case):
     order, leads, active, exp = case
-    lead = order.key(exp)
-    fields = order.fields(lead)
-    new = [(order.lcm(order.fields(leads[g]), fields), g) for g in active]
-    expected = oracle_new_pairs(new, lead, leads, order.divides)
-    assert _new_pairs(new, lead, leads, order.guard) == expected
+    lcm = lambda g: order.key(tuple(map(max, order.exp(leads[g]), exp)))
+    new = [(lcm(g), g) for g in active]
+    expected = oracle_new_pairs(new, order.key(exp), leads, order.divides)
+    assert _joined(case)[0] == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(head_sets())
+@example(COPRIME_FIRST)
+def test_join_keeps_the_members_the_new_head_does_not_divide(case):
+    order, leads, active, exp = case
+    expected = [g for g in active if not oracle_divides(exp, order.exp(leads[g]))]
+    assert _joined(case)[1] == expected + [len(leads)]
 
 
 def _reduce_calls(monkeypatch, gens, weights):
