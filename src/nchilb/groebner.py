@@ -40,10 +40,11 @@ Bases are reduced: no head term divides another, every tail term
 irreducible.  They stay in the packed integer form; their `polys`, monic
 over the rationals, are built when first read.  For a fixed generator set
 and weight vector the output is deterministic, so the `polys` of two
-reduced bases can be compared directly.  For weighted-homogeneous
-generators a basis can be truncated at a weighted degree: it then holds
-the members of the reduced basis up to that degree, which depend only on
-the generators up to it.
+reduced bases can be compared directly.  Two functions make a basis:
+`buchberger`, and `minimal_generator_subset`, whose one run climbs the
+degrees of weighted-homogeneous generators and builds at each degree the
+members of the reduced basis up to it, which depend only on the generators
+up to it; that truncation stays inside the run.
 """
 
 import heapq
@@ -53,7 +54,7 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 
-from .polynomial import SparsePoly, _clear_denominators
+from .polynomial import SparsePoly, _clear_denominators, poly_to_text
 from .rationals import QQ
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "buchberger",
     "normal_form",
     "ideal_equals",
+    "minimal_generator_subset",
 ]
 
 FIELD_BITS = 32
@@ -264,11 +266,6 @@ def normal_form(poly, gb):
     if poly.nvars != gb.nvars:
         raise ValueError(f"polynomial has {poly.nvars} variables, basis has {gb.nvars}")
     work, den = _integral(poly, gb._order)
-    if gb.max_deg is not None and work and gb._order.degree(max(work)) > gb.max_deg:
-        raise ValueError(
-            f"the basis is truncated at weighted degree {gb.max_deg}, below the "
-            f"polynomial's weighted degree {gb._order.degree(max(work))}"
-        )
     remainder, scale = _reduce(dict(work), gb._heads)
     if len(remainder) == len(work) and all(key in work for key, _ in remainder):
         return poly
@@ -319,7 +316,7 @@ def _join(order, leads, fields, active, h):
 
 
 class _Run:
-    """The state of one Buchberger run, which a truncated basis keeps so that it can resume.
+    """The state of one Buchberger run, which can stop at a weighted degree and go on.
 
     `heads` holds every member that joined, in order, `fields` their packed
     head exponents for the lcms, `active` the members no later head
@@ -335,19 +332,6 @@ class _Run:
         self.active = []
         self.queue = []
         self.serial = itertools.count()
-
-    def copy(self):
-        """A run in the same state that goes on without changing this one."""
-        other = _Run(self.order)
-        heads = self.heads
-        other.heads.leads, other.heads.guarded = list(heads.leads), list(heads.guarded)
-        other.heads.coefs, other.heads.tails = list(heads.coefs), list(heads.tails)
-        other.heads.memo = dict(heads.memo)
-        other.fields = list(self.fields)
-        other.active = list(self.active)
-        other.queue = list(self.queue)  # a copied heap is a heap
-        other.serial = itertools.count(next(self.serial))
-        return other
 
     def push_input(self, terms):
         """Queue {key: int} at degree 0, before every pair."""
@@ -400,8 +384,8 @@ class _Run:
         basis, and their tails reduce against every member, which gives the
         same remainders and finds most divisors memoised.  A tail term lies
         below its own head, which therefore never divides it.  The reduced
-        member replaces the one in the run, so that a resumed run's basis
-        rechecks its tail against the heads that joined since only.
+        member replaces the one in the run, so that when the run goes on,
+        its next basis meets that tail reduced already.
         """
         heads = self.heads
         leads, coefs, tails = heads.leads, heads.coefs, heads.tails
@@ -414,10 +398,10 @@ class _Run:
         return basis
 
 
-def buchberger(gens, weights, *, max_deg=None, start=None):
+def buchberger(gens, weights):
     """Reduced basis of the ideal generated by gens, under the weighted order.
 
-    This is the one way to a `GroebnerBasis`, whose quotient queries hold
+    One of the two ways to a `GroebnerBasis`, whose quotient queries hold
     only for a reduced basis: it takes any polynomials and completes them.
 
     Coefficients are integers inside the engine: every member is kept
@@ -438,78 +422,36 @@ def buchberger(gens, weights, *, max_deg=None, start=None):
     older members whose heads the new head divides out of future pairs; a
     popped pair is dropped when a member that joined after it was queued
     shadows it.
-
-    With max_deg the generators must be weighted-homogeneous (ValueError
-    otherwise).  Inputs above max_deg are left out and the loop stops before
-    the first pair above it, so the result holds the members of the reduced
-    basis of weighted degree <= max_deg, which depend only on the
-    generators up to that degree.  Such a truncated basis answers normal
-    forms only up to max_deg and refuses whole-ideal queries.
-
-    start, a truncated basis from this function, resumes its run: the
-    result is then the basis, truncated at max_deg >= start.max_deg, of the
-    ideal that start's members and gens generate, and gens may be empty.
-    The resumed run queues gens before the pairs that start's run held back
-    above its degree, pops no pair a second time, and leaves start as it
-    was.  Runs resumed from one degree to the next give the same bases as
-    runs from scratch, without redoing the lower degrees.
     """
     gens = [g for g in gens if not g.is_zero()]
-    if start is not None:
-        if start._run is None:
-            raise ValueError("start must be a truncated basis from buchberger")
-        if max_deg is None or max_deg < start.max_deg:
-            raise ValueError(f"max_deg must be at least start's {start.max_deg}, got {max_deg}")
-        if tuple(weights) != start.weights:
-            raise ValueError(f"weights {tuple(weights)} differ from start's {start.weights}")
-        nvars, order, run = start.nvars, start._order, start._run.copy()
-    elif not gens:
+    if not gens:
         raise ValueError("no nonzero generators")
-    else:
-        nvars = gens[0].nvars
-        order = _Order(tuple(weights), nvars)
-        run = _Run(order)
+    nvars = gens[0].nvars
+    order = _Order(tuple(weights), nvars)
     if any(g.nvars != nvars for g in gens):
         raise ValueError("generators disagree on variable count")
-    inputs = [_integral(g, order)[0] for g in gens]
-    if max_deg is not None:
-        if max_deg < 0:
-            raise ValueError(f"max_deg must be >= 0, got {max_deg}")
-        for g, terms in zip(gens, inputs):
-            if order.degree(min(terms)) != order.degree(max(terms)):
-                raise ValueError(
-                    f"a basis truncated at max_deg needs weighted-homogeneous generators: {g} is not"
-                )
-        inputs = [terms for terms in inputs if order.degree(max(terms)) <= max_deg]
-    for terms in sorted(inputs, key=max):
+    run = _Run(order)
+    for terms in sorted((_integral(g, order)[0] for g in gens), key=max):
         run.push_input(terms)
-    run.until(max_deg)
-    return GroebnerBasis(order, run.basis(), max_deg=max_deg, run=None if max_deg is None else run)
+    run.until(None)
+    return GroebnerBasis(order, run.basis())
 
 
 class GroebnerBasis:
     """A reduced basis together with its weighted monomial order.
 
-    Only `buchberger` makes one, from the order, the members as the
-    engine's packed heads and primitive integer tails, and for a truncated
-    basis its degree and run.  `polys`, the members monic over the
-    rationals, is built on first read.  `max_deg` is None for a whole
-    basis.  A basis truncated at max_deg (see `buchberger`) is a Groebner
-    basis only up to that weighted degree: `normal_form` and `contains`
-    refuse a polynomial above it, and `is_finite_dimensional`,
-    `standard_monomials`, `quotient_dimension`, `hilbert_function` and
-    `ideal_equals` refuse it with ValueError.  It keeps the state of its
-    run, which `buchberger(..., start=basis)` resumes.
+    Made from the order and the members as the engine's packed heads and
+    primitive integer tails, by `buchberger` and, up to each generator
+    degree, by `minimal_generator_subset`.  `polys`, the members monic over
+    the rationals, is built on first read.
 
     Compared by identity (`ideal_equals` compares ideals); not mutated
     after construction.
     """
 
-    def __init__(self, order, heads, *, max_deg=None, run=None):
+    def __init__(self, order, heads):
         self.nvars = order.nvars
         self.weights = order.weights
-        self.max_deg = max_deg
-        self._run = run
         self._order = order
         self._heads = heads
 
@@ -526,14 +468,6 @@ class GroebnerBasis:
             _to_poly([(lead, coef)] + [(lead + delta, c) for delta, c in tail], coef, order)
             for lead, coef, tail in zip(self._heads.leads, self._heads.coefs, self._heads.tails)
         )
-
-    def _whole(self):
-        """Refuse a whole-ideal query on a truncated basis."""
-        if self.max_deg is not None:
-            raise ValueError(
-                f"the basis is truncated at weighted degree {self.max_deg}: it gives normal "
-                "forms up to that degree and answers no question about the whole ideal"
-            )
 
     def contains(self, poly):
         return normal_form(poly, self).is_zero()
@@ -584,7 +518,6 @@ class GroebnerBasis:
 
     def is_finite_dimensional(self):
         """Every variable has a pure-power head, or the ideal is the unit ideal."""
-        self._whole()
         powers = {i for lead in self._leads for i, a in enumerate(lead) if a and a == sum(lead)}
         return self.is_unit_ideal() or len(powers) == self.nvars
 
@@ -607,7 +540,6 @@ class GroebnerBasis:
         A finite quotient reads its one full walk; otherwise the walk stops
         at max_deg.
         """
-        self._whole()
         if max_deg < 0:
             raise ValueError(f"max_deg must be >= 0, got {max_deg}")
         self._order._checked(max_deg)
@@ -624,10 +556,94 @@ class GroebnerBasis:
 
 def ideal_equals(a, b):
     """Two-sided membership check: every member of each basis reduces to zero in the other."""
-    a._whole()
-    b._whole()
     if a.nvars != b.nvars:
         return False
     return all(b.contains(p) for p in a.polys) and all(
         a.contains(p) for p in b.polys
     )
+
+
+def _add_pivot(pivots, row):
+    """Reduce row, {exponent: coefficient}, against the pivots; True when it leaves a new one.
+
+    The pivots are keyed by leading exponent, and row is used up.  A
+    nonzero remainder joins the pivots, scaled to leading coefficient 1.
+    False means row lies in the span of the rows behind the pivots.
+    """
+    while row:
+        lead = max(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = {exp: coef / row[lead] for exp, coef in row.items()}
+            return True
+        factor = row[lead]
+        for exp, coef in pivot.items():
+            value = row.get(exp, QQ(0)) - factor * coef
+            if value:
+                row[exp] = value
+            else:
+                del row[exp]
+    return False
+
+
+def minimal_generator_subset(gens, weights):
+    """Greedy inclusion-minimal subset of weighted-homogeneous generators.
+
+    The greedy goes through the generators in input order and drops each
+    one that the others still present generate; the result keeps input
+    order and is minimal in the inclusion sense only.  Zero generators lie
+    in every ideal and are always dropped.  Raises ValueError unless the
+    weights are positive, one per variable, the generators agree on the
+    variable count and each is weighted-homogeneous.
+
+    The greedy needs one basis per generator degree, not one per generator.
+    Let J_k be the ideal of the generators of degree < k.  A generator that
+    the greedy drops lies in the ideal of the others, and by homogeneity in
+    the ideal of those of no larger degree, so no drop changes any J_k: the
+    kept generators of degree < k generate it too.  A degree-k generator g
+    lies in the ideal of the others exactly when its normal form modulo J_k
+    lies in the span of the normal forms of the other degree-k generators
+    still present.  Within one degree that is the greedy on vectors v_1..v_r
+    in input order, which keeps v_j exactly when v_j is outside the span of
+    v_{j+1}..v_r (by induction on j: the vectors kept before v_j are
+    independent modulo the span of v_j..v_r).  So each degree block, in
+    increasing degree, is reduced in reverse input order against the
+    pivots of the later ones, modulo a basis of the kept generators of
+    lower degree; a nonzero remainder keeps the generator.  By homogeneity
+    the members of degree <= k of a reduced basis depend only on the
+    generators up to degree k, so one run goes up the degrees: at each block
+    it stops before the pairs above k, and its basis there gives the same
+    normal forms up to k as the whole one.  The generators a block keeps
+    join the run before it goes on.
+    """
+    gens = list(gens)
+    if not gens:
+        return []
+    weights = tuple(weights)
+    nvars = gens[0].nvars
+    order = _Order(weights, nvars)
+    blocks = {}  # weighted degree -> [(input index, {key: int})], in input order
+    for i, g in enumerate(gens):
+        if g.nvars != nvars:
+            raise ValueError("generators disagree on variable count")
+        terms = _integral(g, order)[0]
+        if not terms:
+            continue
+        degree = order.degree(max(terms))
+        if order.degree(min(terms)) != degree:
+            raise ValueError(
+                f"generator {i} is not weighted-homogeneous for weights {weights}: "
+                f"{poly_to_text(g)}"
+            )
+        blocks.setdefault(degree, []).append((i, terms))
+    run = _Run(order)
+    kept = []  # input indices
+    for degree in sorted(blocks):
+        run.until(degree)
+        gb = GroebnerBasis(order, run.basis())
+        pivots = {}
+        for i, terms in reversed(blocks[degree]):
+            if _add_pivot(pivots, dict(normal_form(gens[i], gb).terms)):
+                kept.append(i)
+                run.push_input(terms)
+    return [gens[i] for i in sorted(kept)]

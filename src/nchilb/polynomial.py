@@ -815,7 +815,7 @@ def poly_to_json(f):
 
 
 def poly_from_json(obj):
-    """Inverse of poly_to_json; ValueError for a basis other than "x"."""
+    """Inverse of poly_to_json; ValueError for a basis other than "x" or a malformed exponent."""
     basis = obj.get("basis", "x")
     if basis != "x":
         raise ValueError(f"polynomial basis must be 'x', got {basis!r}")
@@ -823,5 +823,7 @@ def poly_from_json(obj):
     terms = {}
     for term in obj["terms"]:
         exp = tuple(term["exp"])
+        if len(exp) != nvars or not all(type(a) is int and a >= 0 for a in exp):
+            raise ValueError(f"exponent {term['exp']!r} is not {nvars} non-negative integers")
         terms[exp] = terms.get(exp, _ZERO) + QQ(term["coef"])
     return SparsePoly._make(nvars, terms)

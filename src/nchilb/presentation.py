@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .coha import kernel_generators
 from .forests import ambient_dimension, enumerate_btuples, poincare_polynomial
-from .groebner import buchberger, normal_form
+from .groebner import _add_pivot, buchberger, minimal_generator_subset, normal_form
 from .polynomial import (
     SparsePoly,
     _clear_denominators,
@@ -69,29 +69,6 @@ def chern_monomial(b, d):
     """The e-monomial prod_k e_k^{b_{d-k}} attached to a B-tuple."""
     exp = tuple(b[d - k] for k in range(1, d + 1))
     return SparsePoly._make(d, {exp: _ONE})
-
-
-def _add_pivot(pivots, row):
-    """Reduce row, {exponent: coefficient}, against the pivots; True when it leaves a new one.
-
-    The pivots are keyed by leading exponent, and row is used up.  A
-    nonzero remainder joins the pivots, scaled to leading coefficient 1.
-    False means row lies in the span of the rows behind the pivots.
-    """
-    while row:
-        lead = max(row)
-        pivot = pivots.get(lead)
-        if pivot is None:
-            pivots[lead] = {exp: coef / row[lead] for exp, coef in row.items()}
-            return True
-        factor = row[lead]
-        for exp, coef in pivot.items():
-            value = row.get(exp, QQ(0)) - factor * coef
-            if value:
-                row[exp] = value
-            else:
-                del row[exp]
-    return False
 
 
 def verify_chern_basis(m, d, gb=None):
@@ -204,69 +181,6 @@ def _specialize(terms, local_vars, powers):
         local = exp[:local_vars]
         special[local] = special.get(local, 0) + coef
     return SparsePoly._make(local_vars, {exp: QQ(c) for exp, c in special.items()})
-
-
-def minimal_generator_subset(gens, weights):
-    """Greedy inclusion-minimal subset of weighted-homogeneous generators.
-
-    The greedy goes through the generators in input order and drops each
-    one that the others still present generate; the result keeps input
-    order and is minimal in the inclusion sense only.  Zero generators lie
-    in every ideal and are always dropped.  Raises ValueError unless the
-    weights are positive, one per variable, the generators agree on the
-    variable count and each is weighted-homogeneous.
-
-    The greedy needs one basis per generator degree, not one per generator.
-    Let J_k be the ideal of the generators of degree < k.  A generator that
-    the greedy drops lies in the ideal of the others, and by homogeneity in
-    the ideal of those of no larger degree, so no drop changes any J_k: the
-    kept generators of degree < k generate it too.  A degree-k generator g
-    lies in the ideal of the others exactly when its normal form modulo J_k
-    lies in the span of the normal forms of the other degree-k generators
-    still present.  Within one degree that is the greedy on vectors v_1..v_r
-    in input order, which keeps v_j exactly when v_j is outside the span of
-    v_{j+1}..v_r (by induction on j: the vectors kept before v_j are
-    independent modulo the span of v_j..v_r).  So each degree block, in
-    increasing degree, is reduced in reverse input order against the
-    pivots of the later ones, modulo a basis of the kept generators of
-    lower degree truncated at degree k; a nonzero remainder keeps the
-    generator.  By homogeneity the members of degree <= k of a reduced
-    basis depend only on the generators up to degree k, so the truncated
-    basis gives the same normal forms as the whole one.  Each block's basis
-    resumes the run of the one before, adding the generators kept since.
-    """
-    gens = list(gens)
-    if not gens:
-        return []
-    weights = tuple(weights)
-    nvars = gens[0].nvars
-    if len(weights) != nvars or any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive, one per variable")
-    blocks = {}  # weighted degree -> input indices, in input order
-    for i, g in enumerate(gens):
-        if g.nvars != nvars:
-            raise ValueError("generators disagree on variable count")
-        degrees = {sum(w * a for w, a in zip(weights, exp)) for exp in g.terms}
-        if len(degrees) > 1:
-            raise ValueError(
-                f"generator {i} is not weighted-homogeneous for weights {weights}: "
-                f"{poly_to_text(g)}"
-            )
-        if degrees:
-            blocks.setdefault(degrees.pop(), []).append(i)
-    kept = []  # input indices
-    gb, new = None, []  # the basis of the kept generators, those kept since it was built
-    for degree in sorted(blocks):
-        if kept:
-            gb = buchberger([gens[i] for i in sorted(new)], weights, max_deg=degree, start=gb)
-            new = []
-        pivots = {}
-        for i in reversed(blocks[degree]):
-            remainder = gens[i] if gb is None else normal_form(gens[i], gb)
-            if _add_pivot(pivots, dict(remainder.terms)):
-                kept.append(i)
-                new.append(i)
-    return [gens[i] for i in sorted(kept)]
 
 
 class PresentationReport:

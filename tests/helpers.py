@@ -562,7 +562,7 @@ def _linearly_independent(polys):
     Each one is reduced against the pivots of the ones before it; the first
     that reduces to zero is a dependence.
     """
-    from nchilb.presentation import _add_pivot
+    from nchilb.groebner import _add_pivot
 
     pivots = {}
     return all(_add_pivot(pivots, dict(p.terms)) for p in polys)

@@ -94,3 +94,22 @@ def test_traced_reduce_child_checks_and_spans():
     fired = {span[0] for span in result["spans"]}
     missing = sorted(set(REQUIRED_SPANS["reduce-stored"]) - fired)
     assert not missing, f"spans {missing} did not fire"
+
+
+def test_traced_minimal_child_checks_and_spans():
+    """A traced minimal subset at (3, 4): the subset checked, its normal forms spanned inside it.
+
+    The subset's run takes its normal forms inside `groebner`, so this fails
+    when they no longer go through the wrapped `nchilb.groebner.normal_form`.
+    """
+    result = _traced_child("minimal", 3, 4)
+    assert result["errors"] == []
+    spans = result["spans"]
+    fired = {span[0] for span in spans}
+    for name in ("polynomial.parse", "groebner.normal_form", "presentation.minimal_subset"):
+        assert name in fired, f"span {name} did not fire"
+    assert any(
+        name == "groebner.normal_form" and spans[parent][0] == "presentation.minimal_subset"
+        for name, _, _, parent in spans
+        if parent is not None
+    )

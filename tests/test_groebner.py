@@ -159,6 +159,18 @@ def test_only_buchberger_makes_a_basis():
     assert gb.quotient_dimension() == 3
 
 
+@pytest.mark.parametrize("option", [{"max_deg": 2}, {"start": None}])
+def test_buchberger_takes_no_truncation_options(option):
+    # a basis stopped at a degree lives only inside minimal_generator_subset's run
+    x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    with pytest.raises(TypeError):
+        buchberger([x * y, x**2 - y**2], (1, 1), **option)
+    gb = buchberger([x * y, x**2 - y**2], (1, 1))
+    assert not hasattr(gb, "max_deg")
+    with pytest.raises(TypeError):
+        GroebnerBasis(gb._order, gb._heads, **option)
+
+
 def test_pseudo_division_with_and_without_scaling():
     # head coefficient 6: 12 is a multiple (no scaling), 10 shares only 2 (scale by 3)
     x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)

@@ -390,6 +390,13 @@ def test_json_round_trip():
         poly_from_json(dict(obj, basis="e"))
 
 
+@pytest.mark.parametrize("exp", [[1], [1, 0, 0], [1, -1], [1, 0.5], [1, "2"], [True, 0]])
+def test_json_rejects_malformed_exponents(exp):
+    obj = {"vars": 2, "terms": [{"coef": "1", "exp": [0, 1]}, {"coef": "1", "exp": exp}]}
+    with pytest.raises(ValueError, match=re.escape(f"exponent {exp!r} is not 2 non-negative integers")):
+        poly_from_json(obj)
+
+
 def test_backend_is_fraction():
     from fractions import Fraction
 
