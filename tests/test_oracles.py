@@ -964,7 +964,7 @@ def test_minimal_subset_of_planted_redundancy_equals_restart_loop(case):
 
 @settings(max_examples=100, deadline=None)
 @given(homogeneous_generators())
-def test_run_up_the_degrees_gives_the_whole_basis_up_to_each(case):
+def test_truncated_basis_gives_the_normal_forms_up_to_its_degree(case):
     weights, gens = case
     with time_limit(20):
         full = buchberger(gens, weights)
@@ -984,6 +984,33 @@ def test_run_up_the_degrees_gives_the_whole_basis_up_to_each(case):
                 for exp in _monomials_of_degree(weights, degree):
                     x = SparsePoly.monomial(len(weights), exp)
                     assert normal_form(x, truncated) == normal_form(x, full)
+
+
+def _run_in_stages(order, weights, stages):
+    """The basis of one `_Run` that takes each stage's generators up to its degree, then stops there."""
+    run = _Run(order)
+    for gens, max_deg in stages:
+        for g in gens:
+            if g.weighted_degree(weights) <= max_deg:
+                run.push_input(_integral(g, order)[0])
+        run.until(max_deg)
+    return GroebnerBasis(order, run.basis()).polys
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_generators(), st.data())
+def test_resumed_run_equals_run_from_scratch(case, data):
+    weights, gens = case
+    split = data.draw(st.integers(1, len(gens)))
+    first, later = gens[:split], gens[split:]
+    order = _Order(tuple(weights), len(weights))
+    with time_limit(20):
+        for low in range(7):
+            # the run stopped at low stands for first's generators up to low
+            kept = [g for g in first if g.weighted_degree(weights) <= low]
+            for high in range(low, low + 3):
+                resumed = _run_in_stages(order, weights, [(first, low), (later, high)])
+                assert resumed == _run_in_stages(order, weights, [(kept + later, high)])
 
 
 @settings(max_examples=60, deadline=None)
