@@ -75,6 +75,7 @@ from .presentation import (
     local_multiplicity,
     minimal_generator_subset,
     presentation_report,
+    trial_dimensions,
     verify_chern_basis,
     verify_poincare_match,
 )

@@ -37,6 +37,7 @@ from .presentation import (
     local_multiplicity,
     presentation_report,
     top_degree,
+    trial_dimensions,
     verify_chern_basis,
     verify_poincare_match,
 )
@@ -264,8 +265,9 @@ def cmd_chow_multiplicity(args):
         polys = [poly_from_text(text, nvars=args.vars) for text in args.poly]
     except ValueError as exc:
         args.parser.error(str(exc))
-    value = local_multiplicity(polys, trials=args.trials, seed=args.seed, local_vars=args.local)
-    _emit(args, lambda: {"multiplicity": value}, lambda: print(value))
+    dimensions = trial_dimensions(polys, trials=args.trials, seed=args.seed, local_vars=args.local)
+    value = min(dimensions)
+    _emit(args, lambda: {"multiplicity": value, "trials": dimensions}, lambda: print(value))
     return 0
 
 

@@ -36,21 +36,27 @@ when a polynomial joins, in one pass over the active members that also
 drops those whose heads the new head divides, and queued ones when popped.
 A normal form that reduces none of its input's terms is the input itself.
 
-Bases are reduced: no head term divides another, every tail term
-irreducible.  They stay in the packed integer form; their `polys`, monic
-over the rationals, are built when first read.  For a fixed generator set
-and weight vector the output is deterministic, so the `polys` of two
-reduced bases can be compared directly.  Two functions make a basis:
-`buchberger`, and `minimal_generator_subset`, whose one run climbs the
-degrees of weighted-homogeneous generators and builds at each degree the
-members of the reduced basis up to it, which depend only on the generators
-up to it; that truncation stays inside the run.
+A basis is interreduced only when its reduced form is read.  `buchberger`
+returns the minimal basis, no head term dividing another, with the tails
+as the run left them; normal forms, membership, the staircase and the
+Hilbert function need no more, because the heads are those of the reduced
+basis and a remainder modulo a Groebner basis is unique.  Its `polys`, the
+reduced basis monic over the rationals, interreduce the packed members in
+place when first read.  For a fixed generator set and weight vector the
+output is deterministic, so the `polys` of two bases can be compared
+directly.  Two functions make a basis: `buchberger`, and
+`minimal_generator_subset`, whose one run climbs the degrees of
+weighted-homogeneous generators and builds at each degree the members of
+the reduced basis up to it, which depend only on the generators up to it;
+that truncation stays inside the run, which interreduces at each degree
+so that it goes on from reduced tails.  One `_Order` serves each (weights,
+variable count) in a process.
 """
 
 import heapq
 import itertools
 import struct
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
@@ -88,7 +94,9 @@ class _Order:
         self.lcm = self._lcm()
 
     def key(self, exp):
-        wdeg = self._checked(sum(map(mul, self.weights, exp)))
+        wdeg = sum(map(mul, self.weights, exp))
+        if wdeg >= _LIMIT:
+            self._checked(wdeg)
         return wdeg * self.top - int.from_bytes(self.pack(*exp), "little")
 
     @staticmethod
@@ -148,6 +156,12 @@ class _Order:
         return (small + self.guard - big) & self.guard == self.guard
 
 
+@lru_cache(maxsize=None)
+def _order(weights, nvars):
+    """The one `_Order` of a weight tuple and variable count; weights it refuses are not kept."""
+    return _Order(weights, nvars)
+
+
 class _Heads:
     """Heads and primitive integer tails of a list of polynomials that only grows.
 
@@ -157,7 +171,9 @@ class _Heads:
     member by the monomial with key s has the terms s + delta.  `divisor`
     memoises, per key, the index of the first head dividing it, or ~n when
     none of the first n heads does; a miss is rechecked against the heads
-    added since, so the memo stays valid while the list grows.
+    added since, so the memo stays valid while the list grows.  Heads never
+    change; `_interreduce` replaces a member's coefficients by those of its
+    reduced form.
     """
 
     def __init__(self, order):
@@ -174,14 +190,6 @@ class _Heads:
         self.coefs.append(coef)
         self.tails.append(tail)
 
-    def add_primitive(self, terms):
-        """Add the primitive part, head coefficient positive, of [(key, int)] in descending order."""
-        lead, coef = terms[0]
-        content = gcd(*(c for _, c in terms))
-        if coef < 0:
-            content = -content
-        self.add(lead, coef // content, [(key - lead, c // content) for key, c in terms[1:]])
-
     def divisor(self, key):
         hit = self.memo.get(key, -1)
         if hit >= 0:
@@ -193,6 +201,34 @@ class _Heads:
                 return i
         self.memo[key] = ~len(guarded)
         return None
+
+
+def _primitive(terms):
+    """(head coefficient, tail) of the primitive part of [(key, int)] in descending order.
+
+    The head coefficient is positive, and the tail is [(key - head key, int)].
+    """
+    lead, coef = terms[0]
+    content = gcd(*(c for _, c in terms))
+    if coef < 0:
+        content = -content
+    return coef // content, [(key - lead, c // content) for key, c in terms[1:]]
+
+
+def _interreduce(heads, members):
+    """Reduce the tails of the members (indices, in that order) against all of heads, in place.
+
+    One `_reduce` per member.  A tail term lies below its own head, which
+    therefore never divides it.  Only tails change, so every head and every
+    memo entry stays valid; the remainders are unique, so the order only
+    sets the work: in ascending order of heads each tail meets the smaller
+    members, the only ones that can divide its terms, reduced already.
+    """
+    leads, coefs, tails = heads.leads, heads.coefs, heads.tails
+    for i in members:
+        lead = leads[i]
+        rest, scale = _reduce({lead + delta: c for delta, c in tails[i]}, heads)
+        coefs[i], tails[i] = _primitive([(lead, coefs[i] * scale)] + rest)
 
 
 def _reduce(work, heads):
@@ -368,7 +404,7 @@ class _Run:
             reduced, _ = _reduce(work, heads)
             if not reduced:
                 continue
-            heads.add_primitive(reduced)
+            heads.add(reduced[0][0], *_primitive(reduced))
             fields.append(order.fields(reduced[0][0]))
             h = len(leads) - 1
             pairs, active = _join(order, leads, fields, active, h)
@@ -376,39 +412,45 @@ class _Run:
                 heapq.heappush(queue, (order.degree(l), next(serial), None, (g, h, l)))
         self.active = active
 
+    def minimal(self):
+        """The active members in ascending order of heads, as a new `_Heads`: a minimal basis.
+
+        No head divides a later one (each joins reduced), and a head that a
+        later one divides left `active`, so the active heads are those of
+        the reduced basis.
+        """
+        heads = self.heads
+        basis = _Heads(self.order)
+        for i in sorted(self.active, key=heads.leads.__getitem__):
+            basis.add(heads.leads[i], heads.coefs[i], heads.tails[i])
+        return basis
+
     def basis(self):
         """The reduced basis of the members that joined, in ascending order of heads.
 
-        No head divides a later one (each joins reduced), and a head that a
-        later one divides left `active`: the active members form a minimal
-        basis, and their tails reduce against every member, which gives the
-        same remainders and finds most divisors memoised.  A tail term lies
-        below its own head, which therefore never divides it.  The reduced
-        member replaces the one in the run, so that when the run goes on,
-        its next basis meets that tail reduced already.
+        The active members' tails reduce against every member, which gives
+        the same remainders and finds most divisors memoised, and they are
+        reduced in the run, so that when the run goes on, its next basis
+        meets them reduced already.
         """
         heads = self.heads
-        leads, coefs, tails = heads.leads, heads.coefs, heads.tails
-        basis = _Heads(self.order)
-        for i in sorted(self.active, key=leads.__getitem__):
-            lead = leads[i]
-            rest, scale = _reduce({lead + delta: c for delta, c in tails[i]}, heads)
-            basis.add_primitive([(lead, coefs[i] * scale)] + rest)
-            coefs[i], tails[i] = basis.coefs[-1], basis.tails[-1]
-        return basis
+        _interreduce(heads, sorted(self.active, key=heads.leads.__getitem__))
+        return self.minimal()
 
 
 def buchberger(gens, weights):
-    """Reduced basis of the ideal generated by gens, under the weighted order.
+    """Groebner basis of the ideal generated by gens, under the weighted order.
 
     One of the two ways to a `GroebnerBasis`, whose quotient queries hold
-    only for a reduced basis: it takes any polynomials and completes them.
+    only for a Groebner basis: it takes any polynomials and completes them.
+    It returns the minimal basis, the active members as the run left them;
+    their `polys` are the reduced basis, interreduced when first read.
 
     Coefficients are integers inside the engine: every member is kept
     primitive, an S-polynomial is (h_j/g) tail_i - (h_i/g) tail_j with
     g = gcd(h_i, h_j) for head coefficients h, and division is
     pseudo-division.  The basis stays in that form; its `polys` are made
-    monic over the rationals when first read.
+    monic over the rationals.
 
     One loop pops inputs and pairs from one queue.  The inputs come first,
     by ascending head key, each reduced against the inputs before it, so no
@@ -427,26 +469,30 @@ def buchberger(gens, weights):
     if not gens:
         raise ValueError("no nonzero generators")
     nvars = gens[0].nvars
-    order = _Order(tuple(weights), nvars)
+    order = _order(tuple(weights), nvars)
     if any(g.nvars != nvars for g in gens):
         raise ValueError("generators disagree on variable count")
     run = _Run(order)
     for terms in sorted((_integral(g, order)[0] for g in gens), key=max):
         run.push_input(terms)
     run.until(None)
-    return GroebnerBasis(order, run.basis())
+    return GroebnerBasis(order, run.minimal())
 
 
 class GroebnerBasis:
-    """A reduced basis together with its weighted monomial order.
+    """A Groebner basis together with its weighted monomial order.
 
     Made from the order and the members as the engine's packed heads and
     primitive integer tails, by `buchberger` and, up to each generator
-    degree, by `minimal_generator_subset`.  `polys`, the members monic over
-    the rationals, is built on first read.
+    degree, by `minimal_generator_subset`.  The members form a minimal
+    basis: they have the heads of the reduced basis, and the one from
+    `buchberger` keeps the tails as its run left them.  Every query runs on
+    that basis as it is, since the heads decide the staircase and a
+    remainder modulo a Groebner basis is unique.  `polys`, the reduced
+    basis monic over the rationals, interreduces the tails in place when
+    first read; no query's answer changes.
 
-    Compared by identity (`ideal_equals` compares ideals); not mutated
-    after construction.
+    Compared by identity (`ideal_equals` compares ideals).
     """
 
     def __init__(self, order, heads):
@@ -462,11 +508,12 @@ class GroebnerBasis:
 
     @cached_property
     def polys(self):
-        """The members, monic over the rationals, in ascending order of heads."""
-        order = self._order
+        """The reduced basis, monic over the rationals, in ascending order of heads."""
+        order, heads = self._order, self._heads
+        _interreduce(heads, range(len(heads.leads)))
         return tuple(
             _to_poly([(lead, coef)] + [(lead + delta, c) for delta, c in tail], coef, order)
-            for lead, coef, tail in zip(self._heads.leads, self._heads.coefs, self._heads.tails)
+            for lead, coef, tail in zip(heads.leads, heads.coefs, heads.tails)
         )
 
     def contains(self, poly):
@@ -513,8 +560,8 @@ class GroebnerBasis:
 
     @cached_property
     def _staircase(self):
-        """(exponent, weighted degree) of every standard monomial, in the order; one walk."""
-        return [(self._order.exp(key), deg) for key, deg in sorted(self._order_ideal())]
+        """(key, weighted degree) of every standard monomial, in the order; one walk."""
+        return sorted(self._order_ideal())
 
     def is_finite_dimensional(self):
         """Every variable has a pure-power head, or the ideal is the unit ideal."""
@@ -529,7 +576,8 @@ class GroebnerBasis:
         """
         if not self.is_finite_dimensional():
             raise ValueError("quotient is not finite-dimensional")
-        return [exp for exp, _ in self._staircase]
+        exp = self._order.exp
+        return [exp(key) for key, _ in self._staircase]
 
     def quotient_dimension(self):
         return len(self.standard_monomials())
@@ -621,7 +669,7 @@ def minimal_generator_subset(gens, weights):
         return []
     weights = tuple(weights)
     nvars = gens[0].nvars
-    order = _Order(weights, nvars)
+    order = _order(weights, nvars)
     blocks = {}  # weighted degree -> [(input index, {key: int})], in input order
     for i, g in enumerate(gens):
         if g.nvars != nvars:

@@ -509,6 +509,8 @@ def _orbit_coefficients(f, p):
 def _clear_denominators(coefficients):
     """A map of rationals as integers over one common denominator: (integers, denominator)."""
     denom = math.lcm(*(c.denominator for c in coefficients.values()))
+    if denom == 1:
+        return {key: c.numerator for key, c in coefficients.items()}, 1
     return {key: c.numerator * (denom // c.denominator) for key, c in coefficients.items()}, denom
 
 

@@ -10,7 +10,7 @@ series must match the codimension generating polynomial of the forests.
 
 Also here: the generic local multiplicity of a parametrized plane ideal,
 computed as the minimal quotient dimension over random rational parameter
-specializations.
+specializations, and the dimension of each of them.
 """
 
 import random
@@ -35,6 +35,7 @@ __all__ = [
     "verify_chern_basis",
     "verify_poincare_match",
     "local_multiplicity",
+    "trial_dimensions",
     "minimal_generator_subset",
     "PresentationReport",
     "presentation_report",
@@ -118,14 +119,22 @@ def verify_poincare_match(m, d, gb=None):
 def local_multiplicity(polys, trials=5, seed=0, local_vars=2):
     """Generic quotient dimension of a parametrized ideal in the local variables.
 
+    The least of `trial_dimensions`, which by semicontinuity is an upper
+    bound on the generic value; it is probabilistic, not a proof.  Raises
+    as `trial_dimensions` does.
+    """
+    return min(trial_dimensions(polys, trials, seed, local_vars))
+
+
+def trial_dimensions(polys, trials=5, seed=0, local_vars=2):
+    """The quotient dimension of each random specialization, in draw order.
+
     The first `local_vars` variables are kept; the remaining ones are
     parameters, specialized to random integers in [-100, 100] that keep
-    every leading coefficient nonzero.  Each trial computes the dimension
-    of the specialized quotient.  The result is the minimum over the
-    trials, which by semicontinuity is an upper bound on the generic value;
-    it is probabilistic, not a proof.  Raises ValueError when trials < 1 or
-    local_vars < 0, and RuntimeError when fewer than `trials` specializations
-    were usable.
+    every leading coefficient nonzero (a draw that does not is redrawn).
+    Each trial computes the dimension of the specialized quotient.  Raises
+    ValueError when trials < 1 or local_vars < 0, and RuntimeError when
+    fewer than `trials` specializations were usable.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -140,21 +149,23 @@ def local_multiplicity(polys, trials=5, seed=0, local_vars=2):
         raise ValueError(f"need at least {local_vars} variables")
     n_params = nvars - local_vars
 
-    leads = [_leading_local_monomial(p, local_vars) for p in polys]
-    top = [max(exp[local_vars + i] for p in polys for exp in p.terms) for i in range(n_params)]
-    integral = [_clear_denominators(p.terms)[0].items() for p in polys]
+    plans = [_specialization_plan(p, local_vars) for p in polys]
+    weights = (1,) * local_vars
     rng = random.Random(seed)
     dimensions = []
     for _ in range(trials):
         for _attempt in range(1000):
             values = [rng.randint(-100, 100) for _ in range(n_params)]
-            powers = [[v**a for a in range(k + 1)] for v, k in zip(values, top)]
-            specialized = [_specialize(terms, local_vars, powers) for terms in integral]
-            if all(g.terms.get(lead) for g, lead in zip(specialized, leads)):
+            # each plan's first group is its leading local monomial
+            if all(_evaluate(plan[0][1], values) for plan in plans):
                 break
         else:
             continue
-        gb = buchberger(specialized, (1,) * local_vars)
+        specialized = [
+            SparsePoly._make(local_vars, {local: QQ(_evaluate(terms, values)) for local, terms in plan})
+            for plan in plans
+        ]
+        gb = buchberger(specialized, weights)
         if gb.is_finite_dimensional():
             dimensions.append(gb.quotient_dimension())
     if len(dimensions) < trials:
@@ -162,7 +173,7 @@ def local_multiplicity(polys, trials=5, seed=0, local_vars=2):
             f"only {len(dimensions)} of {trials} requested specializations were "
             "usable (nonzero leading coefficients, a finite-dimensional quotient)"
         )
-    return min(dimensions)
+    return dimensions
 
 
 def _leading_local_monomial(poly, local_vars):
@@ -172,15 +183,27 @@ def _leading_local_monomial(poly, local_vars):
     return max((exp[:local_vars] for exp in poly.terms), key=lambda e: (sum(e), e))
 
 
-def _specialize(terms, local_vars, powers):
-    """The integer terms with parameter i replaced by a value whose a-th power is powers[i][a]."""
-    special = {}
-    for exp, coef in terms:
-        for power, a in zip(powers, exp[local_vars:]):
-            coef *= power[a]
-        local = exp[:local_vars]
-        special[local] = special.get(local, 0) + coef
-    return SparsePoly._make(local_vars, {exp: QQ(c) for exp, c in special.items()})
+def _specialization_plan(poly, local_vars):
+    """The terms of poly over one common denominator, grouped by local exponent, the leading one first.
+
+    A group is (local exponent, [(int coefficient, ((parameter, exponent), ..))]),
+    listing only the parameters with a nonzero exponent.
+    """
+    groups = {_leading_local_monomial(poly, local_vars): []}
+    for exp, coef in _clear_denominators(poly.terms)[0].items():
+        factors = tuple((i, a) for i, a in enumerate(exp[local_vars:]) if a)
+        groups.setdefault(exp[:local_vars], []).append((coef, factors))
+    return list(groups.items())
+
+
+def _evaluate(terms, values):
+    """The sum of the [(int coefficient, factors)] of a plan group at the parameter values."""
+    total = 0
+    for coef, factors in terms:
+        for i, a in factors:
+            coef *= values[i] ** a
+        total += coef
+    return total
 
 
 class PresentationReport:

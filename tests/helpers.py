@@ -750,7 +750,12 @@ def _oracle_specialize(poly, local_vars, values):
 
 
 def oracle_local_multiplicity(polys, trials=5, seed=0, local_vars=2):
-    """Minimal quotient dimension over random specializations, screened by leading coefficient.
+    """Minimal quotient dimension over random specializations, screened by leading coefficient."""
+    return min(oracle_trial_dimensions(polys, trials, seed, local_vars))
+
+
+def oracle_trial_dimensions(polys, trials=5, seed=0, local_vars=2):
+    """The quotient dimension of each random specialization, screened by leading coefficient.
 
     Each attempt evaluates the parameter polynomial that multiplies every
     generator's graded-lex-leading local monomial, and specializes only
@@ -783,7 +788,7 @@ def oracle_local_multiplicity(polys, trials=5, seed=0, local_vars=2):
             dimensions.append(gb.quotient_dimension())
     if len(dimensions) < trials:
         raise RuntimeError(f"only {len(dimensions)} of {trials} specializations were usable")
-    return min(dimensions)
+    return dimensions
 
 
 # ---------------------------------------------------------------------------

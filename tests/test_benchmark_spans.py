@@ -4,9 +4,9 @@
 `perfbench/common.py` lists the spans each workload must produce.  Both
 files are read as source, never imported or changed, so a renamed or
 deleted name fails here instead of only in a traced benchmark run.  One
-traced `verify` child and one traced `reduce` child run in subprocesses, so
-that a library path that still exists but no longer goes through the
-wrapped names fails here too.
+traced `verify`, `reduce`, `minimal` and `multiplicity` child each run in a
+subprocess, so that a library path that still exists but no longer goes
+through the wrapped names fails here too.
 """
 
 import ast
@@ -53,15 +53,15 @@ def test_every_required_span_is_produced():
         assert not missing, f"{workload} requires spans that no wrap produces: {missing}"
 
 
-def _traced_child(task, m, d):
+def _traced_child(task, m=None, d=None):
     """The result line of one traced `perfbench/child.py` run."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ)
     src = os.path.join(root, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    size = [] if m is None else ["--m", str(m), "--d", str(d)]
     proc = subprocess.run(
-        [sys.executable, os.path.join(PERFBENCH, "child.py"), "--task", task,
-         "--m", str(m), "--d", str(d), "--trace", "1"],
+        [sys.executable, os.path.join(PERFBENCH, "child.py"), "--task", task, *size, "--trace", "1"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -113,3 +113,19 @@ def test_traced_minimal_child_checks_and_spans():
         for name, _, _, parent in spans
         if parent is not None
     )
+
+
+def test_traced_multiplicity_child_checks_and_spans():
+    """A traced 200-trial local multiplicity: one wrapped Buchberger run per trial, inside it.
+
+    The trials call `buchberger` through `nchilb.presentation`, so this fails
+    when they no longer go through the wrapped name.
+    """
+    result = _traced_child("multiplicity")
+    assert result["errors"] == []
+    spans = result["spans"]
+    outer = [i for i, span in enumerate(spans) if span[0] == "presentation.local_multiplicity"]
+    assert len(outer) == 1
+    runs = [span for span in spans if span[0] == "groebner.buchberger"]
+    assert len(runs) == 200  # the child's trials
+    assert all(parent == outer[0] for _, _, _, parent in runs)

@@ -225,6 +225,21 @@ def test_chow_multiplicity(capsys):
     assert out.strip() == "2"
 
 
+# y + a1 a2 a3 a4 a5 z, y z, z^3: the quotient has dimension 2, and 3 when some a_i is 0
+DEGENERATE = ["--vars", "7", "--poly", "1*x1 + 1*x2*x3*x4*x5*x6*x7", "--poly", "1*x1*x2",
+              "--poly", "1*x2^3", "--trials", "12", "--seed", "2"]
+
+
+def test_chow_multiplicity_json_lists_every_trial(capsys):
+    code, out, _ = run(capsys, "chow", "multiplicity", *DEGENERATE, "--format", "json")
+    assert code == 0
+    # the fourth draw sets a parameter to 0
+    assert json.loads(out) == {"multiplicity": 2, "trials": [2, 2, 2, 3] + [2] * 8}
+    code, out, _ = run(capsys, "chow", "multiplicity", *DEGENERATE)
+    assert code == 0
+    assert out == "2\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,7 +7,8 @@ rho and rho_pq against the bialternant, and the Kostka numbers behind them
 against closed-form identities; the partition-core shuffle product (m = 0..3)
 and its change of basis against the subset-sum and x-space descent oracles,
 and the presentation path without any x-space expansion; the local
-multiplicity against the loop that screens draws by leading coefficients; the
+multiplicity and every trial's dimension against the loop that screens
+draws by leading coefficients; the
 packed-monomial Buchberger, normal forms (also on planted head coefficients
 that force pseudo-division to scale), order, divisibility and pair lcms
 against the tuple-exponent oracle, the Gebauer-Moeller new-pair thinning
@@ -16,7 +17,9 @@ seeded random ideals against pinned `_reduce` counts, every input reduced
 before every pair, and the kernel ideals against sympy's bases; bases
 truncated at a degree, and runs resumed from them, against whole bases and
 runs from scratch, and the members built on first read against the packed
-ones; the order-ideal walk of a basis against exhaustive box and cone
+ones; every quotient query of a basis before and after its members are
+interreduced, against the oracles, with weights as a list or a tuple
+sharing one order and refused weights never kept; the order-ideal walk of a basis against exhaustive box and cone
 walks; the minimal generator subset, one truncated basis per degree, each
 resuming the last, against the restart loop on kernel and planted
 weighted-homogeneous generators; the sparse rank check against sympy; the
@@ -76,12 +79,14 @@ from nchilb.presentation import (
     kernel_ideal_generators,
     local_multiplicity,
     minimal_generator_subset,
+    trial_dimensions,
     verify_chern_basis,
 )
 from nchilb.rationals import QQ
 
 from helpers import (
     _linearly_independent,
+    _oracle_leading,
     _partitions_of,
     conjugate_partition,
     jtuple_oracle,
@@ -106,6 +111,7 @@ from helpers import (
     oracle_shuffle,
     oracle_standard_monomials,
     oracle_to_elementary,
+    oracle_trial_dimensions,
     oracle_verify_chern_basis,
     random_poly,
     time_limit,
@@ -646,7 +652,7 @@ def test_join_keeps_the_members_the_new_head_does_not_divide(case):
 
 
 def _reduce_calls(monkeypatch, gens, weights):
-    """The number of `_reduce` calls that `buchberger(gens, weights)` makes."""
+    """`_reduce` calls of `buchberger(gens, weights)`, then with its `polys` read, and the basis size."""
     calls = 0
     original = nchilb.groebner._reduce
 
@@ -657,14 +663,16 @@ def _reduce_calls(monkeypatch, gens, weights):
 
     monkeypatch.setattr(nchilb.groebner, "_reduce", counted)
     with time_limit(60):
-        buchberger(gens, weights)
-    return calls
+        gb = buchberger(gens, weights)
+        run = calls
+        members = len(gb.polys)
+    return run, calls, members
 
 
-# `_reduce` calls of `buchberger` on the stored e-generators: one per input,
-# one per pair that no criterion drops, one per member of the minimal basis.
-# A dropped or weakened criterion leaves the bases correct; only these
-# counts show it.
+# `_reduce` calls of `buchberger` on the stored e-generators with the
+# `polys` of its basis read: one per input, one per pair that no criterion
+# drops, one per member of the minimal basis.  A dropped or weakened
+# criterion leaves the bases correct; only these counts show it.
 REDUCE_CALLS = {(2, 6): 349, (3, 5): 295, (5, 4): 132, (3, 4): 59, (2, 5): 108, (4, 4): 91}
 
 
@@ -672,7 +680,10 @@ REDUCE_CALLS = {(2, 6): 349, (3, 5): 295, (5, 4): 132, (3, 4): 59, (2, 5): 108, 
 def test_buchberger_pair_work_on_stored_inputs(monkeypatch, m, d):
     with open(os.path.join(INPUTS, f"m{m}_d{d}.txt")) as fh:
         gens = [poly_from_text(line, nvars=d) for line in fh.read().splitlines()]
-    assert _reduce_calls(monkeypatch, gens, e_weights(d)) == REDUCE_CALLS[m, d]
+    run, total, members = _reduce_calls(monkeypatch, gens, e_weights(d))
+    assert total == REDUCE_CALLS[m, d]
+    # no member is interreduced before `polys` is read
+    assert run == REDUCE_CALLS[m, d] - members
 
 
 def test_buchberger_pair_work_on_random_ideals(monkeypatch):
@@ -685,7 +696,9 @@ def test_buchberger_pair_work_on_random_ideals(monkeypatch):
     for _ in range(10):
         weights = tuple(rng.randint(1, 2) for _ in range(3))
         gens = [random_poly(rng, 3, max_deg=3, nterms=3, coef_bound=3) for _ in range(3)]
-        counts.append(_reduce_calls(monkeypatch, gens, weights))
+        run, total, members = _reduce_calls(monkeypatch, gens, weights)
+        assert run == total - members
+        counts.append(total)
         assert buchberger(gens, weights).polys == oracle_buchberger(gens, weights)
     assert counts == [24, 29, 72, 44, 15, 11, 76, 6, 23, 47]
 
@@ -1031,6 +1044,99 @@ def test_polys_built_on_first_read_are_the_packed_members(case):
         assert max(p.terms, key=lambda e: oracle_order_key(e, weights)) == exp(lead)
 
 
+@st.composite
+def finite_and_infinite_ideals(draw):
+    """`ideals`, half of them made finite-dimensional by a pure power of every variable."""
+    gens, weights = draw(ideals())
+    if draw(st.booleans()):
+        n = len(weights)
+        for i in range(n):
+            exp = [0] * n
+            exp[i] = draw(st.integers(1, 3))
+            gens.append(SparsePoly.monomial(n, tuple(exp)))
+    return gens, weights
+
+
+def _or_refusal(query):
+    """query(), or "ValueError" when it raises one."""
+    try:
+        return query()
+    except ValueError:
+        return "ValueError"
+
+
+def _quotient_queries(probes, max_deg):
+    """Each quotient query of a basis, by name, as a function of the basis."""
+    return {
+        "normal_form": lambda gb: [normal_form(p, gb) for p in probes],
+        "contains": lambda gb: [gb.contains(p) for p in probes],
+        "hilbert_function": lambda gb: gb.hilbert_function(max_deg),
+        "standard_monomials": lambda gb: _or_refusal(gb.standard_monomials),
+        "quotient_dimension": lambda gb: _or_refusal(gb.quotient_dimension),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_and_infinite_ideals(), st.data())
+def test_queries_answer_the_same_before_and_after_polys_is_read(case, data):
+    gens, weights = case
+    n = len(weights)
+    probes = []
+    for _ in range(2):
+        exps = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=5, unique=True))
+        coefs = data.draw(st.lists(fractions, min_size=len(exps), max_size=len(exps)))
+        f = SparsePoly(n, dict(zip(exps, coefs)))
+        probes += [f, f * gens[0]]
+    max_deg = data.draw(st.integers(0, 8))
+    queries = _quotient_queries(probes, max_deg)
+    names = data.draw(st.permutations(sorted(queries)))
+    with time_limit():
+        # the minimal basis first, then its reduced members read, then the queries again
+        lazy = buchberger(gens, weights)
+        before = {name: queries[name](lazy) for name in names}
+        polys = lazy.polys
+        after = {name: queries[name](lazy) for name in reversed(names)}
+        # the members read first; equal weights as a list share the order
+        eager = buchberger(gens, list(weights))
+        assert eager._order is lazy._order
+        assert eager.polys == polys
+        first_read = {name: queries[name](eager) for name in names}
+    with time_limit(60):
+        reduced = oracle_buchberger(gens, weights)
+    assert polys == reduced
+    heads = [_oracle_leading(p, weights) for p in reduced]
+    standard = _or_refusal(lambda: oracle_standard_monomials(heads, weights))
+    expected = {
+        "normal_form": [oracle_normal_form(p, reduced, weights) for p in probes],
+        "contains": [oracle_normal_form(p, reduced, weights).is_zero() for p in probes],
+        "hilbert_function": oracle_hilbert_function(heads, weights, max_deg),
+        "standard_monomials": standard,
+        "quotient_dimension": standard if standard == "ValueError" else len(standard),
+    }
+    assert before == after == first_read == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideals(), st.data())
+def test_refused_weights_still_raise_and_are_never_kept(case, data):
+    gens, weights = case
+    n = len(weights)
+    bad = data.draw(
+        st.one_of(
+            st.lists(st.integers(1, 3), max_size=5).filter(lambda w: len(w) != n),
+            st.lists(st.integers(-2, 3), min_size=n, max_size=n).filter(lambda w: min(w) <= 0),
+        )
+    )
+    kept = nchilb.groebner._order.cache_info().currsize
+    for _ in range(2):
+        for given_as in (list, tuple):
+            with pytest.raises(ValueError, match="weights must be positive"):
+                buchberger(gens, given_as(bad))
+            with pytest.raises(ValueError, match="weights must be positive"):
+                minimal_generator_subset(gens, given_as(bad))
+    assert nchilb.groebner._order.cache_info().currsize == kept
+
+
 @pytest.mark.parametrize("m,d", [(m, d) for m in range(5) for d in range(1, 5)])
 def test_kernel_generators_are_weighted_homogeneous(m, d):
     # minimal_generator_subset refuses generators that are not
@@ -1122,6 +1228,7 @@ def test_local_multiplicity_equals_screening_loop():
             assert local_multiplicity(polys, trials=10, seed=seed) == oracle_local_multiplicity(
                 polys, trials=10, seed=seed
             )
+            assert trial_dimensions(polys, 10, seed) == oracle_trial_dimensions(polys, 10, seed)
     # a1 a2 a3 vanishes on some draws of these runs, so redraws are covered
     assert sum(_rejected_draws(seed, 10) for seed in range(20)) > 0
 
