@@ -78,7 +78,7 @@ def _poincare_text(coeffs):
 
 def _int_list(text):
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]  # int refuses an empty item
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
@@ -265,6 +265,9 @@ def cmd_chow_multiplicity(args):
         polys = [poly_from_text(text, nvars=args.vars) for text in args.poly]
     except ValueError as exc:
         args.parser.error(str(exc))
+    for text, poly in zip(args.poly, polys):
+        if poly.is_zero():
+            args.parser.error(f"--poly {text!r} is the zero polynomial")
     dimensions = trial_dimensions(polys, trials=args.trials, seed=args.seed, local_vars=args.local)
     value = min(dimensions)
     _emit(args, lambda: {"multiplicity": value, "trials": dimensions}, lambda: print(value))

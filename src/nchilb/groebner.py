@@ -17,10 +17,11 @@ one mask.  A field holds exponents below 2^31.  Weights are at least 1, so
 no exponent exceeds its monomial's weighted degree, and every monomial the
 engine makes lies below an input monomial or a pair lcm in the order;
 packing those raises OverflowError for a weighted degree of 2^31 or more,
-and so does `hilbert_function` for such a max_deg.  One `struct` call
-packs or unpacks the exponents of a key.  The lcm of two heads is a
-field-wise max on their packed exponents, with no tuple built, by a closure
-that each order makes once over its constants.
+and so does `hilbert_function` for such a max_deg.  Packing is a dot
+product of the exponents with the keys of the variables, K being linear;
+one `struct` call unpacks the exponents of a key.  The lcm of two heads is
+a field-wise max on their packed exponents, with no tuple built, and a
+joining head meets all the active members in one loop of `_Order.lcms`.
 
 Coefficients are integers inside the engine.  Inputs are cleared of
 denominators, every basis member is kept primitive with a positive head
@@ -34,7 +35,9 @@ through one queue: every input before every pair, and the pairs by the
 weighted degree of their lcm.  The Gebauer-Moeller update thins new pairs
 when a polynomial joins, in one pass over the active members that also
 drops those whose heads the new head divides, and queued ones when popped.
-A normal form that reduces none of its input's terms is the input itself.
+A normal form that reduces none of its input's terms is the input itself;
+a monomial goes to the memoised head lookup alone, where the staircase
+walk has written every standard monomial.
 
 A basis is interreduced only when its reduced form is read.  `buchberger`
 returns the minimal basis, no head term dividing another, with the tails
@@ -88,16 +91,22 @@ class _Order:
         self.shifts = tuple(FIELD_BITS * i for i in range(nvars))
         self.guard = sum(_LIMIT << shift for shift in self.shifts)
         # the key of each variable
-        self.units = tuple(w * self.top - (1 << (FIELD_BITS * i)) for i, w in enumerate(weights))
-        packing = struct.Struct(f"<{nvars}I")  # exponents below 2^31 as little-endian fields
-        self.pack, self.unpack, self.size = packing.pack, packing.unpack, packing.size
-        self.lcm = self._lcm()
+        self.units = tuple(w * self.top - (1 << shift) for w, shift in zip(weights, self.shifts))
+        # the largest key of weighted degree below 2^31
+        self.bound = (_LIMIT - 1) * self.top
+        # w_i 2^(32 i): a dot product with these packs the weighted exponents w_i a_i
+        self.spread = tuple(w << shift for w, shift in zip(weights, self.shifts))
+        self.ones = sum(1 << shift for shift in self.shifts)
+        self.high = FIELD_BITS * max(nvars - 1, 0)  # the top field
+        unpacking = struct.Struct(f"<{nvars}I")  # exponents below 2^31 as little-endian fields
+        self.unpack, self.size = unpacking.unpack, unpacking.size
 
     def key(self, exp):
-        wdeg = sum(map(mul, self.weights, exp))
-        if wdeg >= _LIMIT:
-            self._checked(wdeg)
-        return wdeg * self.top - int.from_bytes(self.pack(*exp), "little")
+        """sum a_i K(x_i), K being linear; above `bound` exactly when the weighted degree is >= 2^31."""
+        key = sum(map(mul, self.units, exp))
+        if key > self.bound:
+            self._checked(sum(map(mul, self.weights, exp)))
+        return key
 
     @staticmethod
     def _checked(wdeg):
@@ -109,41 +118,35 @@ class _Order:
         return wdeg
 
     def fields(self, key):
-        """The packed exponents of key and the packed weighted exponents w_i a_i, for `lcm`."""
-        weighted = self.pack(*map(mul, self.weights, self.exp(key)))
-        return -key % self.top, int.from_bytes(weighted, "little")
+        """The packed exponents of key and the packed weighted exponents w_i a_i, for `lcms`."""
+        return -key % self.top, sum(map(mul, self.spread, self.exp(key)))
 
-    def _lcm(self):
-        """The function lcm(a, b): the key of the lcm of two monomials given by their `fields`.
+    def lcms(self, a, others):
+        """The keys of the lcms of one monomial with each of others, all given by their `fields`.
 
         Each field of either packing is below 2^31 (w_i a_i is at most the
         weighted degree), so a field-wise max is a few masks, and w_i max(a_i,
         b_i) = max(w_i a_i, w_i b_i).  The weighted degree, the sum of the
         weighted fields, sits in the top field of their product with
         1 + 2^32 + ..: every partial sum is at most the lcm's weighted degree
-        < 2^32, so no field carries.  A closure over the order's constants,
-        made once per order.
+        < 2^32, so no field carries.
         """
-        guard, top, checked = self.guard, self.top, self._checked
-        ones = sum(1 << shift for shift in self.shifts)
-        high = FIELD_BITS * max(self.nvars - 1, 0)  # the top field
-        down = FIELD_BITS - 1
-
-        def lcm(a, b):
-            packed, weighted = a
-            packed_b, weighted_b = b
-            ge = ((packed | guard) - packed_b) & guard  # guard bits where a's field >= b's
-            mask = ge - (ge >> down)
-            packed = (packed & mask) | (packed_b & ~mask)
-            ge = ((weighted | guard) - weighted_b) & guard
-            mask = ge - (ge >> down)
-            weighted = (weighted & mask) | (weighted_b & ~mask)
-            wdeg = (weighted * ones >> high) & _FIELD
+        guard, top, ones, high, down = self.guard, self.top, self.ones, self.high, FIELD_BITS - 1
+        packed, weighted = a
+        packed_a, weighted_a = packed | guard, weighted | guard
+        keys = []
+        for packed_b, weighted_b in others:
+            # b's fields, with a's where a's field >= b's: the guard bits of
+            # the difference spread down over their fields
+            ge = (packed_a - packed_b) & guard
+            lcm = packed_b ^ ((packed ^ packed_b) & (ge - (ge >> down)))
+            ge = (weighted_a - weighted_b) & guard
+            weighted_lcm = weighted_b ^ ((weighted ^ weighted_b) & (ge - (ge >> down)))
+            wdeg = (weighted_lcm * ones >> high) & _FIELD
             if wdeg >= _LIMIT:
-                checked(wdeg)
-            return wdeg * top - packed
-
-        return lcm
+                self._checked(wdeg)
+            keys.append(wdeg * top - lcm)
+        return keys
 
     def degree(self, key):
         # K = wdeg * top - P with 0 <= P < top
@@ -297,10 +300,16 @@ def normal_form(poly, gb):
     """Remainder of poly on division by the basis; zero iff poly is in the ideal.
 
     poly itself when no head divides any of its terms: division never brings
-    back a key it reduced, so a remainder on the same keys reduced none.
+    back a key it reduced, so a remainder on the same keys reduced none.  A
+    monomial goes to the memoised head lookup alone (a standard one is in
+    the memo once the staircase has been walked).
     """
     if poly.nvars != gb.nvars:
         raise ValueError(f"polynomial has {poly.nvars} variables, basis has {gb.nvars}")
+    if len(poly.terms) == 1:
+        (exp,) = poly.terms
+        if gb._heads.divisor(gb._order.key(exp)) is None:
+            return poly
     work, den = _integral(poly, gb._order)
     remainder, scale = _reduce(dict(work), gb._heads)
     if len(remainder) == len(work) and all(key in work for key, _ in remainder):
@@ -324,13 +333,13 @@ def _join(order, leads, fields, active, h):
     pairs as (lcm key, g) in the order of `active`, and the next `active`,
     which ends with h.
     """
-    lead, lcm, guard = leads[h], order.lcm, order.guard
-    fields_h, guarded_lead = fields[h], lead + guard
+    lead, guard = leads[h], order.guard
+    guarded_lead = lead + guard
+    lcms = order.lcms(fields[h], map(fields.__getitem__, active))
     last = {}  # lcm -> position in active of its last pair, or None when a coprime pair has it
     rest = []
-    for k, g in enumerate(active):
+    for k, (g, l) in enumerate(zip(active, lcms)):
         head = leads[g]
-        l = lcm(fields[g], fields_h)
         if last.get(l, 0) is not None:
             last[l] = None if l == head + lead else k
         if (guarded_lead - head) & guard != guard:
@@ -376,7 +385,7 @@ class _Run:
     def until(self, max_deg):
         """Pop inputs and pairs until the queue is empty or its next pair lies above max_deg."""
         order, heads, queue, serial, fields = self.order, self.heads, self.queue, self.serial, self.fields
-        lcm, guard = order.lcm, order.guard
+        lcms, guard = order.lcms, order.guard
         leads, guarded, coefs, tails = heads.leads, heads.guarded, heads.coefs, heads.tails
         active = self.active
         while queue and (max_deg is None or queue[0][0] <= max_deg):
@@ -385,11 +394,9 @@ class _Run:
                 i, j, l = pair
                 # A member k that joined after the pair was queued shadows it
                 # when its head divides l and both of its lcms with i and j differ from l.
-                fields_i, fields_j = fields[i], fields[j]
+                pair_fields = fields[i], fields[j]
                 for k in range(j + 1, len(leads)):
-                    if (guarded[k] - l) & guard == guard and (
-                        lcm(fields_i, fields[k]) != l != lcm(fields_j, fields[k])
-                    ):
+                    if (guarded[k] - l) & guard == guard and l not in lcms(fields[k], pair_fields):
                         break
                 else:
                     g = gcd(coefs[i], coefs[j])
@@ -563,21 +570,30 @@ class GroebnerBasis:
         """(key, weighted degree) of every standard monomial, in the order; one walk."""
         return sorted(self._order_ideal())
 
-    def is_finite_dimensional(self):
-        """Every variable has a pure-power head, or the ideal is the unit ideal."""
+    @cached_property
+    def _finite(self):
         powers = {i for lead in self._leads for i, a in enumerate(lead) if a and a == sum(lead)}
         return self.is_unit_ideal() or len(powers) == self.nvars
 
+    def is_finite_dimensional(self):
+        """Every variable has a pure-power head, or the ideal is the unit ideal; decided once."""
+        return self._finite
+
+    @cached_property
+    def _standard(self):
+        """The exponents of the standard monomials, unpacked once."""
+        if not self._finite:
+            raise ValueError("quotient is not finite-dimensional")
+        exp = self._order.exp
+        return tuple(exp(key) for key, _ in self._staircase)
+
     def standard_monomials(self):
-        """All monomials outside the head ideal; requires a finite quotient.
+        """All monomials outside the head ideal, as a new list; requires a finite quotient.
 
         Sorted by the monomial order, so grouping by weighted degree gives
         the Hilbert function directly.
         """
-        if not self.is_finite_dimensional():
-            raise ValueError("quotient is not finite-dimensional")
-        exp = self._order.exp
-        return [exp(key) for key, _ in self._staircase]
+        return list(self._standard)
 
     def quotient_dimension(self):
         return len(self.standard_monomials())
@@ -592,7 +608,7 @@ class GroebnerBasis:
             raise ValueError(f"max_deg must be >= 0, got {max_deg}")
         self._order._checked(max_deg)
         counts = [0] * (max_deg + 1)
-        if self.is_finite_dimensional():
+        if self._finite:
             walk = self._staircase
         else:
             walk = self._order_ideal(max_deg)

@@ -75,6 +75,8 @@ class SparsePoly:
                     raise ValueError(
                         f"exponent vector {exp} has length {len(exp)}, expected {nvars}"
                     )
+                if min(exp, default=0) < 0:
+                    raise ValueError(f"exponent vector {exp} has a negative exponent")
                 coef = QQ(coef)
                 if coef:
                     clean[tuple(exp)] = coef

@@ -35,6 +35,7 @@ import math
 import random
 import re
 import signal
+import struct
 from fractions import Fraction
 
 from nchilb.forests import Forest, Tree, codim, d_value, enumerate_btuples, enumerate_forests
@@ -587,6 +588,21 @@ def oracle_order_key(exp, weights):
     for w, a in zip(weights, exp):
         wdeg += w * a
     return (wdeg, tuple(-a for a in reversed(exp)))
+
+
+def oracle_packed_key(exp, weights):
+    """The engine's order key by its first formula: weighted degree times 2^(32 n) less the packed exponents.
+
+    The exponents are little-endian unsigned 32-bit fields of one `struct`
+    call; a weighted degree of 2^31 or more raises OverflowError.
+    """
+    wdeg = sum(w * a for w, a in zip(weights, exp))
+    if wdeg >= 1 << 31:
+        raise OverflowError(
+            f"weighted degree {wdeg} is too large: packed monomials need weighted degree < 2**31"
+        )
+    packed = int.from_bytes(struct.pack(f"<{len(exp)}I", *exp), "little")
+    return wdeg * (1 << (32 * len(exp))) - packed
 
 
 def oracle_divides(small, big):

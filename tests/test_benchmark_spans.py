@@ -18,6 +18,8 @@ import sys
 
 import pytest
 
+from helpers import fuss_catalan_trees
+
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
@@ -86,14 +88,16 @@ def test_traced_verify_child_checks_and_spans():
 def test_traced_reduce_child_checks_and_spans():
     """A traced reduce at (5, 4): basis digest and verdicts checked, every span of reduce-stored fired.
 
-    A Chern verdict that skipped `normal_form` on its B-tuple monomials
-    would leave the span `groebner.normal_form` unfired here.
+    A Chern verdict that skipped `normal_form` on any of its B-tuple
+    monomials would fire the span `groebner.normal_form` fewer times than
+    there are B-tuples, the Fuss-Catalan number of (5, 4).
     """
     result = _traced_child("reduce", 5, 4)
     assert result["errors"] == []
-    fired = {span[0] for span in result["spans"]}
-    missing = sorted(set(REQUIRED_SPANS["reduce-stored"]) - fired)
+    fired = [span[0] for span in result["spans"]]
+    missing = sorted(set(REQUIRED_SPANS["reduce-stored"]) - set(fired))
     assert not missing, f"spans {missing} did not fire"
+    assert fired.count("groebner.normal_form") == fuss_catalan_trees(5, 4)
 
 
 def test_traced_minimal_child_checks_and_spans():

@@ -301,6 +301,30 @@ def test_zero_denominator_exits_2(capsys, argv):
     assert "zero denominator in polynomial term '1/0*x1'" in captured.err
 
 
+@pytest.mark.parametrize("ks", ["1,,2", "1,", ",", "", "1, ,2"])
+def test_ks_with_an_empty_item_exits_2(capsys, ks):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["coha", "psi-product", "--m", "2", "--ks", ks])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected comma-separated integers: {ks!r}" in captured.err
+
+
+@pytest.mark.parametrize("polys,zero", [(["0"], "0"), (["1*x1^2", "0"], "0"),
+                                        (["1*x1 - 1*x1", "1*x2"], "1*x1 - 1*x1")])
+def test_zero_poly_exits_2(capsys, polys, zero):
+    argv = ["chow", "multiplicity", "--vars", "2"]
+    for text in polys:
+        argv += ["--poly", text]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --poly {zero!r} is the zero polynomial\n" in captured.err
+
+
 def test_computation_error_exits_1(capsys):
     code, out, err = run(
         capsys,

@@ -105,6 +105,7 @@ from helpers import (
     oracle_local_multiplicity,
     oracle_normal_form,
     oracle_order_key,
+    oracle_packed_key,
     oracle_poly_from_text,
     oracle_rho,
     oracle_rho_pq,
@@ -795,10 +796,86 @@ def test_packed_order_and_divisibility_equal_tuple_oracle(case):
         assert order.key(product) == ka + kb
     lcm = tuple(map(max, a, b))
     if wdeg(lcm) < LIMIT:
-        assert order.lcm(order.fields(ka), order.fields(kb)) == order.key(lcm)
+        assert order.lcms(order.fields(ka), [order.fields(kb)]) == [order.key(lcm)]
     else:
         with pytest.raises(OverflowError, match=str(wdeg(lcm))):
-            order.lcm(order.fields(ka), order.fields(kb))
+            order.lcms(order.fields(ka), [order.fields(kb)])
+
+
+def _near_limit(draw, weights, top):
+    """An exponent vector, often with one exponent that brings its weighted degree near top."""
+    n = len(weights)
+    exp = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        room = top - sum(w * a for j, (w, a) in enumerate(zip(weights, exp)) if j != i)
+        exp[i] = max(room // weights[i] - draw(st.integers(0, 2)), 0)
+    return tuple(exp)
+
+
+@st.composite
+def key_cases(draw):
+    """Weights 1-6 and two exponent vectors in 1-6 variables, often at or just past the limit."""
+    n = draw(st.integers(1, 6))
+    weights = tuple(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)))
+    return weights, _near_limit(draw, weights, LIMIT + 1), _near_limit(draw, weights, LIMIT + 1)
+
+
+def _raised(call):
+    """The text of the OverflowError that call() raises."""
+    with pytest.raises(OverflowError) as info:
+        call()
+    return str(info.value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(key_cases())
+@example(((1,), (LIMIT,), (LIMIT - 1,)))
+@example(((2, 1), (0, LIMIT), (1, LIMIT - 2)))
+@example(((1, 1, 1, 1, 1, 1), (0, 0, 0, 0, 0, LIMIT - 1), (LIMIT - 1, 0, 0, 0, 0, 0)))
+def test_order_key_equals_struct_formula(case):
+    weights, a, b = case
+    order = _Order(weights, len(weights))
+    keys = []
+    for exp in (a, b):
+        if sum(w * x for w, x in zip(weights, exp)) >= LIMIT:
+            expected = _raised(lambda: oracle_packed_key(exp, weights))
+            assert _raised(lambda: order.key(exp)) == expected
+        else:
+            keys.append((order.key(exp), exp))
+            assert keys[-1][0] == oracle_packed_key(exp, weights)
+    if len(keys) == 2:
+        (ka, a), (kb, b) = keys
+        assert (ka < kb) == (oracle_order_key(a, weights) < oracle_order_key(b, weights))
+        assert (ka == kb) == (a == b)
+
+
+@st.composite
+def lcm_cases(draw):
+    """Weights, one exponent vector and 0-5 others, each of weighted degree below 2^31, often near it."""
+    n = draw(st.integers(1, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)))
+    others = [_near_limit(draw, weights, LIMIT - 1) for _ in range(draw(st.integers(0, 5)))]
+    return weights, _near_limit(draw, weights, LIMIT - 1), others
+
+
+@settings(max_examples=500, deadline=None)
+@given(lcm_cases())
+def test_lcms_equal_tuple_lcms(case):
+    weights, a, others = case
+    order = _Order(weights, len(weights))
+    fields = lambda exp: order.fields(order.key(exp))
+    lcms = [tuple(map(max, a, b)) for b in others]
+    call = lambda: order.lcms(fields(a), map(fields, others))
+    over = [l for l in lcms if sum(w * x for w, x in zip(weights, l)) >= LIMIT]
+    if over:
+        # the first lcm past the limit raises, with the text of the key's own refusal
+        assert _raised(call) == _raised(lambda: oracle_packed_key(over[0], weights))
+        return
+    keys = call()
+    assert keys == [oracle_packed_key(l, weights) for l in lcms]
+    for (k1, l1), (k2, l2) in itertools.combinations(zip(keys, lcms), 2):
+        assert (k1 < k2) == (oracle_order_key(l1, weights) < oracle_order_key(l2, weights))
 
 
 SYMPY_GRID = [(2, 3), (2, 4), (3, 3), (4, 3)]
@@ -1055,6 +1132,61 @@ def finite_and_infinite_ideals(draw):
             exp[i] = draw(st.integers(1, 3))
             gens.append(SparsePoly.monomial(n, tuple(exp)))
     return gens, weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_and_infinite_ideals(), st.data())
+def test_monomial_normal_form_is_its_argument_exactly_when_irreducible(case, data):
+    gens, weights = case
+    with time_limit():
+        gb = buchberger(gens, weights)
+        # a second basis, so that the one under test keeps its tails as the run left them
+        reduced = buchberger(gens, weights).polys
+    n = gb.nvars
+    # the staircase walk writes the misses of the standard monomials into the head memo
+    if data.draw(st.booleans()):
+        gb.hilbert_function(data.draw(st.integers(0, 8)))
+    calls = 0
+    original = nchilb.groebner._reduce
+
+    def counted(work, heads):
+        nonlocal calls
+        calls += 1
+        return original(work, heads)
+
+    for _ in range(4):
+        exp = data.draw(st.tuples(*[st.integers(0, 5)] * n))
+        p = SparsePoly(n, {exp: data.draw(fractions)})
+        expected = oracle_normal_form(p, reduced, weights)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nchilb.groebner, "_reduce", counted)
+            before = calls
+            form = normal_form(p, gb)
+        if expected == p:
+            assert form is p and calls == before
+        else:
+            assert form is not p and form == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_and_infinite_ideals())
+def test_standard_monomials_are_a_new_list_each_time(case):
+    gens, weights = case
+    with time_limit():
+        gb = buchberger(gens, weights)
+        if not gb.is_finite_dimensional():
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    gb.standard_monomials()
+            return
+        first, second = gb.standard_monomials(), gb.standard_monomials()
+    heads = [_oracle_leading(p, weights) for p in gb.polys]
+    assert first == second == oracle_standard_monomials(heads, weights)
+    assert first is not second
+    first.append((0,) * gb.nvars)
+    first.reverse()
+    assert gb.standard_monomials() == second
+    assert gb.quotient_dimension() == len(second)
 
 
 def _or_refusal(query):

@@ -294,6 +294,13 @@ def test_negative_sizes_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("exp", [(-1, 0), (2, -3)])
+def test_negative_exponent_rejected(exp):
+    # the Groebner engine packs exponents by a dot product that would take them silently
+    with pytest.raises(ValueError, match="negative exponent"):
+        SparsePoly(2, {exp: 1})
+
+
 def test_negative_variable_count_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         SparsePoly(-1, {})
