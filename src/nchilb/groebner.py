@@ -6,22 +6,23 @@ equal weighted degrees the monomial whose exponent vector has the later
 last difference wins when that difference is negative.  With weights
 (1,..,1) this is plain degrevlex.
 
-Inside the engine a monomial is one int.  Its exponents a_0..a_{n-1} are
-packed into fields of FIELD_BITS = 32 bits, P = sum a_i 2^(32 i), and its
-order key is K = wdeg 2^(32 n) - P.  The key is linear, K(ab) = K(a) + K(b),
-so a product of monomials is a sum of keys, a quotient a difference, and
-the weighted-degrevlex order is int order on keys.  The top bit of each
-field is a guard that stays clear, so a divides b exactly when
-((K(a) + G) - K(b)) & G == G, G being the guard bits: one subtraction and
-one mask.  A field holds exponents below 2^31.  Weights are at least 1, so
-no exponent exceeds its monomial's weighted degree, and every monomial the
-engine makes lies below an input monomial or a pair lcm in the order;
+Inside the engine a monomial is one int.  Its weighted exponents w_i a_i
+are packed into fields of FIELD_BITS = 32 bits, P = sum w_i a_i 2^(32 i),
+and its order key is K = wdeg 2^(32 n) - P, wdeg being the sum of the
+fields.  Weights are positive, so the last differing field breaks a tie in
+weighted degree as the last differing exponent would.  The key is linear,
+K(ab) = K(a) + K(b), so a product of monomials is a sum of keys, a quotient
+a difference, and the weighted-degrevlex order is int order on keys.  The
+top bit of each field is a guard that stays clear, so a divides b exactly
+when ((K(a) + G) - K(b)) & G == G, G being the guard bits: one subtraction
+and one mask.  No field exceeds the weighted degree, and every monomial
+the engine makes lies below an input monomial or a pair lcm in the order;
 packing those raises OverflowError for a weighted degree of 2^31 or more,
 and so does `hilbert_function` for such a max_deg.  Packing is a dot
-product of the exponents with the keys of the variables, K being linear;
-one `struct` call unpacks the exponents of a key.  The lcm of two heads is
-a field-wise max on their packed exponents, with no tuple built, and a
-joining head meets all the active members in one loop of `_Order.lcms`.
+product of the exponents with the keys of the variables; one `struct`
+call unpacks the fields of a key.  The lcm of two heads is a field-wise
+max of their fields, whose sum is its weighted degree; a joining head
+meets all the active members in one loop of `_Order.lcms`.
 
 Coefficients are integers inside the engine.  Inputs are cleared of
 denominators, every basis member is kept primitive with a positive head
@@ -61,7 +62,7 @@ import itertools
 import struct
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul
+from operator import floordiv, mul
 
 from .polynomial import SparsePoly, _clear_denominators, poly_to_text
 from .rationals import QQ
@@ -75,7 +76,7 @@ __all__ = [
 ]
 
 FIELD_BITS = 32
-_LIMIT = 1 << (FIELD_BITS - 1)  # exponents and weighted degrees stay below this
+_LIMIT = 1 << (FIELD_BITS - 1)  # fields and weighted degrees stay below this
 _FIELD = (1 << FIELD_BITS) - 1
 
 
@@ -91,14 +92,12 @@ class _Order:
         self.shifts = tuple(FIELD_BITS * i for i in range(nvars))
         self.guard = sum(_LIMIT << shift for shift in self.shifts)
         # the key of each variable
-        self.units = tuple(w * self.top - (1 << shift) for w, shift in zip(weights, self.shifts))
+        self.units = tuple(w * self.top - (w << shift) for w, shift in zip(weights, self.shifts))
         # the largest key of weighted degree below 2^31
         self.bound = (_LIMIT - 1) * self.top
-        # w_i 2^(32 i): a dot product with these packs the weighted exponents w_i a_i
-        self.spread = tuple(w << shift for w, shift in zip(weights, self.shifts))
         self.ones = sum(1 << shift for shift in self.shifts)
         self.high = FIELD_BITS * max(nvars - 1, 0)  # the top field
-        unpacking = struct.Struct(f"<{nvars}I")  # exponents below 2^31 as little-endian fields
+        unpacking = struct.Struct(f"<{nvars}I")  # fields below 2^31, little-endian
         self.unpack, self.size = unpacking.unpack, unpacking.size
 
     def key(self, exp):
@@ -118,31 +117,28 @@ class _Order:
         return wdeg
 
     def fields(self, key):
-        """The packed exponents of key and the packed weighted exponents w_i a_i, for `lcms`."""
-        return -key % self.top, sum(map(mul, self.spread, self.exp(key)))
+        """The packed weighted exponents of key, for `lcms`."""
+        return -key % self.top
 
     def lcms(self, a, others):
         """The keys of the lcms of one monomial with each of others, all given by their `fields`.
 
-        Each field of either packing is below 2^31 (w_i a_i is at most the
-        weighted degree), so a field-wise max is a few masks, and w_i max(a_i,
-        b_i) = max(w_i a_i, w_i b_i).  The weighted degree, the sum of the
-        weighted fields, sits in the top field of their product with
-        1 + 2^32 + ..: every partial sum is at most the lcm's weighted degree
-        < 2^32, so no field carries.
+        Each field is below 2^31 (w_i a_i is at most the weighted degree), so
+        a field-wise max is a few masks, and w_i max(a_i, b_i) = max(w_i a_i,
+        w_i b_i).  The lcm's weighted degree, the sum of its fields, sits in
+        the top field of their product with 1 + 2^32 + ..: every partial sum
+        is at most that weighted degree, below wdeg(a) + wdeg(b) < 2^32, so
+        no field carries.
         """
         guard, top, ones, high, down = self.guard, self.top, self.ones, self.high, FIELD_BITS - 1
-        packed, weighted = a
-        packed_a, weighted_a = packed | guard, weighted | guard
+        guarded = a | guard
         keys = []
-        for packed_b, weighted_b in others:
+        for b in others:
             # b's fields, with a's where a's field >= b's: the guard bits of
             # the difference spread down over their fields
-            ge = (packed_a - packed_b) & guard
-            lcm = packed_b ^ ((packed ^ packed_b) & (ge - (ge >> down)))
-            ge = (weighted_a - weighted_b) & guard
-            weighted_lcm = weighted_b ^ ((weighted ^ weighted_b) & (ge - (ge >> down)))
-            wdeg = (weighted_lcm * ones >> high) & _FIELD
+            ge = (guarded - b) & guard
+            lcm = b ^ ((a ^ b) & (ge - (ge >> down)))
+            wdeg = (lcm * ones >> high) & _FIELD
             if wdeg >= _LIMIT:
                 self._checked(wdeg)
             keys.append(wdeg * top - lcm)
@@ -153,7 +149,8 @@ class _Order:
         return -(-key // self.top)
 
     def exp(self, key):
-        return self.unpack((-key % self.top).to_bytes(self.size, "little"))
+        fields = self.unpack((-key % self.top).to_bytes(self.size, "little"))
+        return tuple(map(floordiv, fields, self.weights))
 
     def divides(self, small, big):
         return (small + self.guard - big) & self.guard == self.guard
@@ -323,9 +320,10 @@ def _join(order, leads, fields, active, h):
     One pass over `active` pairs each member g with h: it enters their lcm
     in a map from lcm to the position of its last pair, or None when a
     coprime pair has it, and keeps g for the next `active` unless h's head
-    divides g's.  A pair whose heads are coprime is never queued.  Another
-    pair goes when another new lcm strictly divides its own, when a later
-    pair has an equal lcm, or when a coprime pair has an equal lcm.
+    divides g's, that is unless their lcm is g's head.  A pair whose heads
+    are coprime is never queued.  Another pair goes when another new lcm
+    strictly divides its own, when a later pair has an equal lcm, or when a
+    coprime pair has an equal lcm.
 
     Then one scan over the distinct lcms in ascending key order: a divisor
     of an lcm has no larger key, so each lcm is tested only against the
@@ -334,7 +332,6 @@ def _join(order, leads, fields, active, h):
     which ends with h.
     """
     lead, guard = leads[h], order.guard
-    guarded_lead = lead + guard
     lcms = order.lcms(fields[h], map(fields.__getitem__, active))
     last = {}  # lcm -> position in active of its last pair, or None when a coprime pair has it
     rest = []
@@ -342,7 +339,7 @@ def _join(order, leads, fields, active, h):
         head = leads[g]
         if last.get(l, 0) is not None:
             last[l] = None if l == head + lead else k
-        if (guarded_lead - head) & guard != guard:
+        if l != head:
             rest.append(g)
     rest.append(h)
     minimal = []  # guarded keys of the lcms no other lcm strictly divides
@@ -364,7 +361,7 @@ class _Run:
     """The state of one Buchberger run, which can stop at a weighted degree and go on.
 
     `heads` holds every member that joined, in order, `fields` their packed
-    head exponents for the lcms, `active` the members no later head
+    weighted head exponents for the lcms, `active` the members no later head
     divides, and `queue` the inputs and pairs not yet popped as (weighted
     degree, serial number, input terms or None, pair (i, j, lcm key) or
     None), first in first out within a degree.

@@ -75,8 +75,8 @@ class SparsePoly:
                     raise ValueError(
                         f"exponent vector {exp} has length {len(exp)}, expected {nvars}"
                     )
-                if min(exp, default=0) < 0:
-                    raise ValueError(f"exponent vector {exp} has a negative exponent")
+                if any(type(a) is not int or a < 0 for a in exp):
+                    raise ValueError(f"exponent vector {exp} has a non-int or negative exponent")
                 coef = QQ(coef)
                 if coef:
                     clean[tuple(exp)] = coef
@@ -257,8 +257,8 @@ class SymmetricPoly:
 
     def __init__(self, nvars, coefficients, denominator=1):
         for mu in coefficients:
-            # nvars parts, each at least the next and the last at least 0
-            if len(mu) != nvars or any(map(operator.lt, mu, mu[1:] + (0,))):
+            # nvars int parts, each at least the next and the last at least 0
+            if len(mu) != nvars or any(type(a) is not int or a < b for a, b in zip(mu, mu[1:] + (0,))):
                 raise ValueError(f"{mu} is not a partition padded to {nvars} parts")
         if type(denominator) is not int or denominator < 1:
             raise ValueError(f"denominator must be a positive int, got {denominator!r}")

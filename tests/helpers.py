@@ -591,17 +591,19 @@ def oracle_order_key(exp, weights):
 
 
 def oracle_packed_key(exp, weights):
-    """The engine's order key by its first formula: weighted degree times 2^(32 n) less the packed exponents.
+    """The engine's order key by its first formula: weighted degree times 2^(32 n) less the packed w_i a_i.
 
-    The exponents are little-endian unsigned 32-bit fields of one `struct`
-    call; a weighted degree of 2^31 or more raises OverflowError.
+    The weighted exponents w_i a_i are little-endian unsigned 32-bit fields
+    of one `struct` call, and the weighted degree is their sum; one of 2^31
+    or more raises OverflowError.
     """
-    wdeg = sum(w * a for w, a in zip(weights, exp))
+    fields = [w * a for w, a in zip(weights, exp)]
+    wdeg = sum(fields)
     if wdeg >= 1 << 31:
         raise OverflowError(
             f"weighted degree {wdeg} is too large: packed monomials need weighted degree < 2**31"
         )
-    packed = int.from_bytes(struct.pack(f"<{len(exp)}I", *exp), "little")
+    packed = int.from_bytes(struct.pack(f"<{len(exp)}I", *fields), "little")
     return wdeg * (1 << (32 * len(exp))) - packed
 
 

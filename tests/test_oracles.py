@@ -49,6 +49,7 @@ from nchilb.coha import CohaElement, _kernel_representatives, coha_mul, kernel_g
 from nchilb.forests import critical_pairs, enumerate_btuples, enumerate_forests, forest_to_jtuple
 from nchilb.groebner import (
     GroebnerBasis,
+    _Heads,
     _integral,
     _join,
     _Order,
@@ -605,7 +606,7 @@ def test_pseudo_division_equals_tuple_oracle(case, data):
 
 
 @st.composite
-def head_sets(draw):
+def join_cases(draw):
     """Member heads, the active ones in some order, and a new head, as packed keys.
 
     Exponents are small, so equal lcms are common, and so are coprime pairs
@@ -621,7 +622,7 @@ def head_sets(draw):
 
 
 def _joined(case):
-    """`_join` of the new head of a `head_sets` case as the last member: (pairs, next active)."""
+    """`_join` of the new head of a `join_cases` case as the last member: (pairs, next active)."""
     order, leads, active, exp = case
     members = leads + [order.key(exp)]
     return _join(order, members, [order.fields(key) for key in members], active, len(leads))
@@ -633,7 +634,7 @@ COPRIME_FIRST = (XY, [XY.key((0, 1)), XY.key((1, 1))], [0, 1], (1, 0))
 
 
 @settings(max_examples=400, deadline=None)
-@given(head_sets())
+@given(join_cases())
 @example(COPRIME_FIRST)
 def test_new_pairs_equal_quadratic_thinning(case):
     order, leads, active, exp = case
@@ -644,7 +645,7 @@ def test_new_pairs_equal_quadratic_thinning(case):
 
 
 @settings(max_examples=400, deadline=None)
-@given(head_sets())
+@given(join_cases())
 @example(COPRIME_FIRST)
 def test_join_keeps_the_members_the_new_head_does_not_divide(case):
     order, leads, active, exp = case
@@ -876,6 +877,39 @@ def test_lcms_equal_tuple_lcms(case):
     assert keys == [oracle_packed_key(l, weights) for l in lcms]
     for (k1, l1), (k2, l2) in itertools.combinations(zip(keys, lcms), 2):
         assert (k1 < k2) == (oracle_order_key(l1, weights) < oracle_order_key(l2, weights))
+
+
+@st.composite
+def divisor_cases(draw):
+    """Weights 1-6, heads in 1-4 variables added in two rounds, and monomials to look up.
+
+    Exponents are small, so a monomial often has several dividing heads,
+    and a miss after the first round often has a divisor in the second.
+    """
+    n = draw(st.integers(1, 4))
+    weights = tuple(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)))
+    vector = st.tuples(*[st.integers(0, 3)] * n)
+    rounds = [draw(st.lists(vector, max_size=6)), draw(st.lists(vector, min_size=1, max_size=6))]
+    return weights, rounds, draw(st.lists(vector, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisor_cases())
+def test_head_lookup_returns_the_first_dividing_head(case):
+    weights, rounds, monomials = case
+    order = _Order(weights, len(weights))
+    heads = _Heads(order)
+    added = []
+    for batch in rounds:
+        for exp in batch:
+            heads.add(order.key(exp), 1, [])
+            added.append(exp)
+        # every lookup twice: the second answers from the memo the first wrote,
+        # and after the next round the memo must still give the first divisor
+        for exp in monomials:
+            first = next((i for i, head in enumerate(added) if oracle_divides(head, exp)), None)
+            assert heads.divisor(order.key(exp)) == first
+            assert heads.divisor(order.key(exp)) == first
 
 
 SYMPY_GRID = [(2, 3), (2, 4), (3, 3), (4, 3)]

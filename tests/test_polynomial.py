@@ -262,10 +262,21 @@ def test_symmetric_poly_partition_form():
         ({(1,): 1}, 1, "not a partition"),
         ({(2, 1, 0): 1}, 1, "not a partition"),
         ({(1, -1): 1}, 1, "not a partition"),
+        ({(2.0, 1): 3}, 1, "not a partition"),
+        ({(Fraction(2), 1): 3}, 1, "not a partition"),
         ({(1, 0): 1}, 0, "positive int"),
         ({(1, 0): 1}, Fraction(1, 2), "positive int"),
     ],
-    ids=["increasing", "short", "long", "negative", "zero_denominator", "fraction_denominator"],
+    ids=[
+        "increasing",
+        "short",
+        "long",
+        "negative",
+        "float_part",
+        "fraction_part",
+        "zero_denominator",
+        "fraction_denominator",
+    ],
 )
 def test_symmetric_poly_rejects_malformed_input(coefficients, denominator, message):
     with pytest.raises(ValueError, match=message):
@@ -292,6 +303,17 @@ def test_symmetric_poly_keeps_no_x_space_state():
 def test_negative_sizes_rejected(build):
     with pytest.raises(ValueError, match="non-negative"):
         build()
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(2.0,): 1, (0,): -1}, {(Fraction(2),): 1}, {(True,): 1}, {(1.5,): 1}],
+    ids=["float", "fraction", "bool", "fractional_float"],
+)
+def test_non_int_exponent_rejected(terms):
+    # 2.0 would compare and hash as 2, then fail deep inside the Groebner engine
+    with pytest.raises(ValueError, match="non-int"):
+        SparsePoly(1, terms)
 
 
 @pytest.mark.parametrize("exp", [(-1, 0), (2, -3)])
