@@ -55,9 +55,9 @@ from .forests import (
     word_to_string,
 )
 from .coha import (
-    CohaElement,
     bidegree,
     coha_mul,
+    element,
     forbidden_polynomial,
     kernel_generators,
     module_basis,

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .coha import CohaElement, coha_mul, forbidden_polynomial, kernel_generators, psi, psi_product
+from .coha import coha_mul, element, forbidden_polynomial, kernel_generators, psi, psi_product
 from .forests import (
     check_digit_alphabet,
     enumerate_forests,
@@ -154,20 +154,29 @@ def cmd_forests_bijection(args):
 # coha
 
 
+def _element_json(f):
+    """The JSON form of a shuffle-algebra element: its arity and x-space polynomial."""
+    return {"d": f.nvars, "poly": poly_to_json(f.poly)}
+
+
 def cmd_coha_mul(args):
     try:
-        left = CohaElement(args.left_arity, poly_from_text(args.left, nvars=args.left_arity))
-        right = CohaElement(args.right_arity, poly_from_text(args.right, nvars=args.right_arity))
+        left = element(poly_from_text(args.left, nvars=args.left_arity))
+        right = element(poly_from_text(args.right, nvars=args.right_arity))
     except ValueError as exc:
         args.parser.error(str(exc))
     product = coha_mul(left, right, args.m)
-    _emit(args, product.to_json, lambda: print(f"d={product.d}:", poly_to_text(product.poly)))
+    _emit(
+        args,
+        lambda: _element_json(product),
+        lambda: print(f"d={product.nvars}:", poly_to_text(product.poly)),
+    )
     return 0
 
 
 def cmd_coha_psi(args):
-    element = psi(args.k)
-    _emit(args, element.to_json, lambda: print(f"psi_{args.k} =", poly_to_text(element.poly)))
+    f = psi(args.k)
+    _emit(args, lambda: _element_json(f), lambda: print(f"psi_{args.k} =", poly_to_text(f.poly)))
     return 0
 
 
@@ -175,9 +184,9 @@ def cmd_coha_psi_product(args):
     ks = args.ks
     if not ks or any(k < 0 for k in ks):
         args.parser.error("--ks needs a non-empty list of indices >= 0")
-    element = psi_product(ks, args.m)
+    f = psi_product(ks, args.m)
     label = " * ".join(f"psi_{k}" for k in ks)
-    _emit(args, element.to_json, lambda: print(f"{label} =", poly_to_text(element.poly)))
+    _emit(args, lambda: _element_json(f), lambda: print(f"{label} =", poly_to_text(f.poly)))
     return 0
 
 
@@ -195,12 +204,12 @@ def cmd_coha_relations(args):
         # json.dumps(gens as a list, indent=2), holding one generator's terms at a time
         opener = "["
         for g in gens:
-            print(opener, json.dumps(g.to_json(), indent=2).replace("\n", "\n  "), sep="\n  ", end="")
+            print(opener, json.dumps(_element_json(g), indent=2).replace("\n", "\n  "), sep="\n  ", end="")
             opener = ","
         print("[]" if opener == "[" else "\n]")
     else:
         for g in gens:
-            print(f"d={g.d}:", poly_to_text(g.poly))
+            print(f"d={g.nvars}:", poly_to_text(g.poly))
     return 0
 
 

@@ -3,13 +3,14 @@
 Degree-d elements are symmetric polynomials in d variables.  The product
 of elements of arities p and q sums, over all complementary index pairs
 (I, J) of {1,..,d}, the product of the factors evaluated at x_I and x_J
-times the interaction kernel prod (x_j - x_i)^(m-1).  An element keeps its
-polynomial on partitions, as a SymmetricPoly (integer monomial-symmetric
-coefficients over one denominator), and one partition core computes every
-product from a single block term instead of C(d, p) shuffles.  For m >= 1
-the block term times the kernel is summed per sorted exponent; the kernel
-power is only ever formed on its block-sorted exponents, as a product
-over the first block of one polynomial in the second, and the forbidden
+times the interaction kernel prod (x_j - x_i)^(m-1).  An element is a
+SymmetricPoly (integer monomial-symmetric coefficients over one
+denominator), its arity is its `nvars`, and `element` reads one from a
+symmetric SparsePoly.  One partition core computes every product from a
+single block term instead of C(d, p) shuffles.  For m >= 1 the block
+term times the kernel is summed per sorted exponent; the kernel power is
+only ever formed on its block-sorted exponents, as a product over the
+first block of one polynomial in the second, and the forbidden
 polynomials are read off the same representatives.  For m = 0, where
 the kernel is a denominator, the block term times a staircase monomial
 in each block is antisymmetrized.  Exponents are packed by the partition
@@ -38,18 +39,15 @@ from .polynomial import (
     _stabilizer_order,
     _unpack,
     _width,
-    elementary_symmetric,
     is_symmetric,
     partitions_in_box,
-    poly_from_json,
-    poly_to_json,
     rho,
     schur,
 )
 from .rationals import QQ
 
 __all__ = [
-    "CohaElement",
+    "element",
     "coha_mul",
     "psi",
     "psi_product",
@@ -62,57 +60,16 @@ __all__ = [
 ]
 
 
-class CohaElement:
-    """An arity d >= 0 together with a symmetric polynomial in d variables.
+def element(poly):
+    """The shuffle-algebra element of a symmetric SparsePoly: its SymmetricPoly.
 
-    `symmetric` holds the polynomial on partitions; `poly` is its x-space
-    form, expanded on each read.  Not mutated after construction.
+    The `is_symmetric` pre-check repeats what `SymmetricPoly.from_poly`
+    checks; it stays while the benchmark times `coha.is_symmetric` through
+    the Schur factor of `kernel_generators`.
     """
-
-    __slots__ = ("symmetric",)
-
-    def __init__(self, d, poly):
-        if d < 0:
-            raise ValueError("arity must be non-negative")
-        if poly.nvars != d:
-            raise ValueError(
-                f"polynomial has {poly.nvars} variables, arity is {d}"
-            )
-        if not is_symmetric(poly):
-            raise ValueError("polynomial is not symmetric")
-        self.symmetric = SymmetricPoly.from_poly(poly)
-
-    @classmethod
-    def _from_symmetric(cls, symmetric):
-        self = object.__new__(cls)
-        self.symmetric = symmetric
-        return self
-
-    @property
-    def d(self):
-        return self.symmetric.nvars
-
-    @property
-    def poly(self):
-        return self.symmetric.poly
-
-    def __eq__(self, other):
-        if not isinstance(other, CohaElement):
-            return NotImplemented
-        return self.d == other.d and self.symmetric == other.symmetric
-
-    def __hash__(self):
-        return hash((self.d, self.symmetric))
-
-    def __repr__(self):
-        return f"CohaElement(d={self.d}, poly={self.poly!r})"
-
-    def to_json(self):
-        return {"d": self.d, "poly": poly_to_json(self.poly)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["d"], poly_from_json(obj["poly"]))
+    if not is_symmetric(poly):
+        raise ValueError("polynomial is not symmetric")
+    return SymmetricPoly.from_poly(poly)
 
 
 def _shuffle(base, p, q, m, denominator):
@@ -211,20 +168,19 @@ def _kernel_representatives(p, q, power, width):
 
 
 def coha_mul(f, g, m):
-    """Shuffle product of two elements, of arity f.d + g.d."""
+    """Shuffle product of two elements, of arity f.nvars + g.nvars."""
     if m < 0:
         raise ValueError("loop count m must be non-negative")
-    left, right = _spread(f.symmetric.coefficients, f.d), _spread(g.symmetric.coefficients, g.d)
+    left, right = _spread(f.coefficients, f.nvars), _spread(g.coefficients, g.nvars)
     base = {e1 + e2: c1 * c2 for e1, c1 in left.items() for e2, c2 in right.items()}
-    denominator = f.symmetric.denominator * g.symmetric.denominator
-    return CohaElement._from_symmetric(_shuffle(base, f.d, g.d, m, denominator))
+    return _shuffle(base, f.nvars, g.nvars, m, f.denominator * g.denominator)
 
 
 def psi(k):
     """The arity-1 basis element x^k, of bidegree (1, -k)."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return CohaElement(1, SparsePoly.monomial(1, (k,)))
+    return SymmetricPoly(1, {(k,): 1})
 
 
 def psi_product(ks, m):
@@ -246,6 +202,8 @@ def forbidden_polynomial(p, d, m):
     """
     if not 0 <= p < d:
         raise ValueError("need 0 <= p < d")
+    if m < 0:
+        raise ValueError("loop count m must be non-negative")
     width = _width(max(p, d - p) * m + 1)
     shift = _pack((0,) * p + (1,) * (d - p), width)
     terms = {}
@@ -264,7 +222,7 @@ def tautological_relation(b, p, d, m):
     """Antisymmetrization of b times the p-th forbidden polynomial."""
     if b.nvars != d:
         raise ValueError(f"b has {b.nvars} variables, expected {d}")
-    return CohaElement(d, rho(b * forbidden_polynomial(p, d, m)))
+    return element(rho(b * forbidden_polynomial(p, d, m)))
 
 
 def shuffle_expression(h, p, q, m):
@@ -306,18 +264,18 @@ def kernel_generators(d, m):
     gens = []
     for p in range(d):
         q = d - p
-        e_top = CohaElement(q, elementary_symmetric(q, q))
+        e_top = SymmetricPoly(q, {(1,) * q: 1})
         for lam in partitions_in_box(p, q):
-            f = CohaElement(p, schur(lam, p))
-            gens.append(coha_mul(f, e_top, m))
+            gens.append(coha_mul(element(schur(lam, p)), e_top, m))
     return gens
 
 
 def bidegree(f, m):
     """(d, k) with k = (m-1) d (d-1) / 2 minus the cohomological degree."""
-    degrees = {sum(mu) for mu in f.symmetric.coefficients}
+    degrees = {sum(mu) for mu in f.coefficients}
     if not degrees:
         raise ValueError("the zero element has no bidegree")
     if len(degrees) > 1:
         raise ValueError("element is not homogeneous")
-    return (f.d, (m - 1) * f.d * (f.d - 1) // 2 - degrees.pop())
+    d = f.nvars
+    return (d, (m - 1) * d * (d - 1) // 2 - degrees.pop())

@@ -351,16 +351,14 @@ def jtuple_to_btuple(values, d):
 
 
 def btuple_to_jtuple(b, m, d, n):
-    """Sorted tuple with b_i copies of i and the rest filled with d."""
+    """Sorted tuple with b_i copies of i and the rest filled with d; ValueError unless b is a B-tuple."""
     b = tuple(b)
-    length = (m - 1) * d + n
-    fill = length - sum(b)
-    if fill < 0:
-        raise ValueError("B-tuple has too many entries for the J-tuple length")
+    if not is_valid_btuple(b, m, d, n):
+        raise ValueError(f"{b} is not a B-tuple for (m, d, n) = ({m}, {d}, {n})")
     values = []
     for i, count in enumerate(b):
         values.extend([i] * count)
-    values.extend([d] * fill)
+    values.extend([d] * ((m - 1) * d + n - sum(b)))
     return tuple(values)
 
 

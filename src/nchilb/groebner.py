@@ -152,9 +152,6 @@ class _Order:
         fields = self.unpack((-key % self.top).to_bytes(self.size, "little"))
         return tuple(map(floordiv, fields, self.weights))
 
-    def divides(self, small, big):
-        return (small + self.guard - big) & self.guard == self.guard
-
 
 @lru_cache(maxsize=None)
 def _order(weights, nvars):

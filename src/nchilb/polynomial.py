@@ -248,14 +248,16 @@ class SymmetricPoly:
     nonzero integers: the polynomial is the sum of coefficients[mu] /
     denominator times the monomial symmetric function m_mu.  This is the
     form that shuffle products and the change of basis compute with;
-    `poly` expands it into x-space on each read and keeps no copy.  A key
-    that is no such partition, or a denominator that is not a positive int,
-    raises ValueError.  Not mutated after construction.
+    `poly` expands it into x-space on each read and keeps no copy.  A
+    negative `nvars`, a key that is no such partition, or a denominator
+    that is not a positive int raises ValueError.  Not mutated after
+    construction.
     """
 
     __slots__ = ("nvars", "coefficients", "denominator")
 
     def __init__(self, nvars, coefficients, denominator=1):
+        _check_nvars(nvars)
         for mu in coefficients:
             # nvars int parts, each at least the next and the last at least 0
             if len(mu) != nvars or any(type(a) is not int or a < b for a, b in zip(mu, mu[1:] + (0,))):

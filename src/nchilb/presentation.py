@@ -48,11 +48,7 @@ def e_weights(d):
 
 def kernel_ideal_generators(d, m):
     """Kernel generators rewritten in the e-variables, zeros dropped."""
-    return [
-        to_elementary(element.symmetric)
-        for element in kernel_generators(d, m)
-        if not element.symmetric.is_zero()
-    ]
+    return [to_elementary(g) for g in kernel_generators(d, m) if not g.is_zero()]
 
 
 @lru_cache(maxsize=None)

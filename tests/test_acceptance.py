@@ -13,8 +13,8 @@ from contextlib import contextmanager
 import pytest
 
 from nchilb.coha import (
-    CohaElement,
     coha_mul,
+    element,
     psi_product,
     shuffle_expression,
     tautological_relation,
@@ -125,7 +125,7 @@ def test_criterion_4_coha_closed_forms():
                 assert prod.poly == c * mono
         rng = random.Random(40)
         for _ in range(10):
-            f = CohaElement(1, random_poly(rng, 1, max_deg=5, nterms=3))
+            f = element(random_poly(rng, 1, max_deg=5, nterms=3))
             assert coha_mul(f, f, 0).poly.is_zero()
 
 
@@ -200,8 +200,8 @@ def test_criterion_9_property_suites():
         # 100 random triples: associativity with total arity <= 4, m <= 3
         def random_element(d):
             if d == 0:
-                return CohaElement(0, SparsePoly.const(0, rng.randint(1, 4)))
-            return CohaElement(d, random_symmetric_poly(rng, d, max_part=2, nterms=2))
+                return element(SparsePoly.const(0, rng.randint(1, 4)))
+            return element(random_symmetric_poly(rng, d, max_part=2, nterms=2))
 
         shapes = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]
         for trial in range(100):

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from nchilb.coha import (
-    CohaElement,
     bidegree,
     coha_mul,
+    element,
     forbidden_polynomial,
     kernel_generators,
     module_basis,
@@ -20,6 +20,7 @@ from nchilb.coha import (
 )
 from nchilb.polynomial import (
     SparsePoly,
+    SymmetricPoly,
     elementary_symmetric,
     monomial_symmetric,
     rho,
@@ -37,10 +38,10 @@ def x(i, nvars):
     return SparsePoly.variable(nvars, i - 1)
 
 
-def element(rng, d, max_part=2, nterms=3):
+def random_element(rng, d, max_part=2, nterms=3):
     if d == 0:
-        return CohaElement(0, SparsePoly.const(0, rng.randint(1, 5)))
-    return CohaElement(d, random_symmetric_poly(rng, d, max_part, nterms))
+        return element(SparsePoly.const(0, rng.randint(1, 5)))
+    return element(random_symmetric_poly(rng, d, max_part, nterms))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +80,7 @@ def test_m0_simple_schur_cases():
 def test_m0_any_square_vanishes():
     rng = random.Random(10)
     for _ in range(10):
-        f = CohaElement(1, random_poly(rng, 1, max_deg=4, nterms=3))
+        f = element(random_poly(rng, 1, max_deg=4, nterms=3))
         assert coha_mul(f, f, 0).poly.is_zero()
 
 
@@ -91,9 +92,9 @@ def test_m1_products_are_monomial_multiples():
 
 
 def test_scalars_act_as_scalars():
-    one = CohaElement(0, SparsePoly.const(0, 1))
-    three = CohaElement(0, SparsePoly.const(0, 3))
-    f = CohaElement(2, elementary_symmetric(2, 2))
+    one = element(SparsePoly.const(0, 1))
+    three = element(SparsePoly.const(0, 3))
+    f = element(elementary_symmetric(2, 2))
     for m in (0, 1, 2):
         assert coha_mul(one, f, m) == f
         assert coha_mul(f, one, m) == f
@@ -105,18 +106,18 @@ def test_arity_zero_factor_scales_in_both_orders():
     scalars = [SparsePoly.const(0, c) for c in (3, QQ(-1, 2))] + [SparsePoly.zero(0)]
     for m in range(4):
         for q in range(4):
-            for g in (element(rng, q), CohaElement(q, SparsePoly.zero(q))):
+            for g in (random_element(rng, q), element(SparsePoly.zero(q))):
                 for c in scalars:
-                    scaled = CohaElement(q, g.poly * c.constant())
-                    assert coha_mul(CohaElement(0, c), g, m) == scaled
-                    assert coha_mul(g, CohaElement(0, c), m) == scaled
+                    scaled = element(g.poly * c.constant())
+                    assert coha_mul(element(c), g, m) == scaled
+                    assert coha_mul(g, element(c), m) == scaled
 
 
 def test_associativity_sample():
     rng = random.Random(11)
     for m in (0, 1, 2, 3):
         for arities in ((1, 1, 1), (1, 1, 2), (2, 1, 1)):
-            f, g, h = (element(rng, a) for a in arities)
+            f, g, h = (random_element(rng, a) for a in arities)
             assert coha_mul(coha_mul(f, g, m), h, m) == coha_mul(
                 f, coha_mul(g, h, m), m
             )
@@ -126,7 +127,7 @@ def test_twisted_commutativity():
     rng = random.Random(12)
     for m in (0, 1, 2, 3):
         for p, q in ((1, 1), (1, 2), (2, 2)):
-            f, g = element(rng, p), element(rng, q)
+            f, g = random_element(rng, p), random_element(rng, q)
             fg = coha_mul(f, g, m)
             gf = coha_mul(g, f, m)
             sign = -1 if ((m - 1) * p * q) % 2 else 1
@@ -136,7 +137,7 @@ def test_twisted_commutativity():
 def test_odd_m_is_commutative():
     rng = random.Random(13)
     for m in (1, 3):
-        f, g = element(rng, 2), element(rng, 1)
+        f, g = random_element(rng, 2), random_element(rng, 1)
         assert coha_mul(f, g, m) == coha_mul(g, f, m)
 
 
@@ -144,8 +145,8 @@ def test_bigrading_is_additive():
     rng = random.Random(14)
     for m in (0, 1, 2):
         for p, q in ((1, 1), (1, 2), (2, 2)):
-            f = CohaElement(p, schur((2, 1)[:p], p))
-            g = CohaElement(q, elementary_symmetric(q, q))
+            f = element(schur((2, 1)[:p], p))
+            g = element(elementary_symmetric(q, q))
             product = coha_mul(f, g, m)
             if product.poly.is_zero():
                 continue
@@ -159,16 +160,27 @@ def test_bigrading_is_additive():
 
 
 def test_bidegree_errors_and_unit():
-    assert bidegree(CohaElement(0, SparsePoly.const(0, 1)), 2) == (0, 0)
+    assert bidegree(element(SparsePoly.const(0, 1)), 2) == (0, 0)
     with pytest.raises(ValueError):
-        bidegree(CohaElement(1, SparsePoly.zero(1)), 2)
+        bidegree(element(SparsePoly.zero(1)), 2)
     with pytest.raises(ValueError):
-        bidegree(CohaElement(1, SparsePoly.const(1, 1) + SparsePoly.variable(1, 0)), 2)
+        bidegree(element(SparsePoly.const(1, 1) + SparsePoly.variable(1, 0)), 2)
 
 
 def test_coha_element_validates_symmetry():
-    with pytest.raises(ValueError):
-        CohaElement(2, SparsePoly.variable(2, 0))
+    with pytest.raises(ValueError, match="not symmetric"):
+        element(SparsePoly.variable(2, 0))
+
+
+def test_psi_is_the_element_of_its_monomial():
+    for k in (0, 1, 2, 7, 300):
+        assert psi(k) == element(SparsePoly.monomial(1, (k,)))
+
+
+def test_an_element_has_a_non_negative_arity():
+    assert element(SparsePoly.const(0, 2)).nvars == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        SymmetricPoly(-1, {})
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +224,15 @@ def test_forbidden_polynomial_examples():
     with pytest.raises(ValueError):
         forbidden_polynomial(3, 3, 2)
 
+
+def test_a_negative_loop_count_is_refused():
+    # the kernel power walked nothing for m < 0, so both gave a silent zero
+    with pytest.raises(ValueError, match="loop count m must be non-negative"):
+        forbidden_polynomial(1, 2, -1)
+    with pytest.raises(ValueError, match="loop count m must be non-negative"):
+        tautological_relation(SparsePoly.const(2, 1), 1, 2, -1)
+    with pytest.raises(ValueError, match="loop count m must be non-negative"):
+        coha_mul(psi(0), psi(1), -1)
 
 def test_forbidden_polynomial_equals_product_of_its_factors():
     cases = [(p, d, m) for d in range(1, 6) for p in range(d) for m in range(4)]

@@ -355,6 +355,18 @@ def test_codim_census_equals_btuple_weights(m, d, n):
     assert oracle_poincare_polynomial(m, d, n, by="codim") == _btuple_weight_census(m, d, n)
 
 
+def test_btuple_to_jtuple_rejects_invalid():
+    with pytest.raises(ValueError, match="not a B-tuple"):
+        btuple_to_jtuple((-1,), 2, 1, 1)  # negative entry
+    with pytest.raises(ValueError, match="not a B-tuple"):
+        btuple_to_jtuple((0, 1, 0), 2, 1, 1)  # three entries for d = 1
+    with pytest.raises(ValueError, match="not a B-tuple"):
+        btuple_to_jtuple((1, 0, 0), 2, 3, 1)  # b_0 must be below n
+    with pytest.raises(ValueError, match="not a B-tuple"):
+        btuple_to_jtuple((0, 2, 0), 2, 3, 1)  # b_0 + b_1 must be below m
+    assert btuple_to_jtuple((0, 1, 1), 2, 3, 1) == (1, 2, 3, 3)
+
+
 def test_jtuple_to_forest_rejects_invalid():
     with pytest.raises(ValueError):
         jtuple_to_forest((0, 0, 0, 0), 2, 3, 1)  # violates the floor constraints

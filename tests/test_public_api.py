@@ -42,9 +42,9 @@ def test_package_imports_only_exported_names():
 
 
 def test_removed_bialternant_names_are_gone():
-    for name in ("antisymmetrize", "exact_divide", "NonDivisibleError", "discriminant"):
-        assert not hasattr(nchilb, name)
-        assert not hasattr(nchilb.polynomial, name)
+    for name in ("antisymmetrize", "exact_divide", "NonDivisibleError", "discriminant", "CohaElement"):
+        for module in (nchilb, nchilb.polynomial, nchilb.coha):
+            assert not hasattr(module, name)
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():

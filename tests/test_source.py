@@ -1,4 +1,8 @@
-"""Source hygiene that no installed linter checks: no module defines a top-level name twice."""
+"""Source hygiene that no installed linter checks.
+
+No module defines a top-level name twice, and every top-level import of
+a library module is used there or exported in its `__all__`.
+"""
 
 import ast
 import pathlib
@@ -7,6 +11,12 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted([*ROOT.glob("src/nchilb/*.py"), *ROOT.glob("tests/*.py")])
+LIBRARY = sorted(path for path in ROOT.glob("src/nchilb/*.py") if path.name != "__init__.py")
+
+# (module file, name): why the import stays although the module never reads it
+KEPT_IMPORTS = {
+    ("presentation.py", "is_symmetric"): "perfbench/tracer.py wraps nchilb.presentation.is_symmetric",
+}
 
 
 def _bound(node):
@@ -59,3 +69,60 @@ def test_duplicate_check_sees_each_kind_of_binding():
         "obj.attr = 4\n"
     )
     assert duplicate_names(source) == [("cases", 4, 6), ("Cases", 5, 7)]
+
+
+def _imported(node):
+    """The names a top-level import binds; `import a.b` binds a."""
+    if isinstance(node, ast.ImportFrom):
+        return [alias.asname or alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+    return []
+
+
+def unused_imports(source):
+    """(name, line) for each top-level import that source never reads nor names in `__all__`."""
+    tree = ast.parse(source)
+    read = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            exported = set(ast.literal_eval(node.value))
+    return [
+        (name, node.lineno)
+        for node in tree.body
+        for name in _imported(node)
+        if name not in read and name not in exported
+    ]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda path: path.name)
+def test_every_library_import_is_used(path):
+    unused = unused_imports(path.read_text())
+    assert [(name, line) for name, line in unused if (path.name, name) not in KEPT_IMPORTS] == []
+
+
+def test_kept_imports_are_still_unused():
+    # an exception that the module now reads, or no longer imports, is stale
+    for module, name in KEPT_IMPORTS:
+        source = (ROOT / "src" / "nchilb" / module).read_text()
+        assert name in [found for found, _ in unused_imports(source)]
+
+
+def test_unused_import_check_sees_each_kind_of_import():
+    source = (
+        "import os\n"
+        "import os.path as osp\n"
+        "import nchilb.groebner\n"
+        "from helpers import (LIMIT, oracle as check)\n"
+        "from .coha import psi\n"
+        "from .polynomial import rho\n"
+        "__all__ = ['psi']\n"
+        "def f():\n"
+        "    rho = 1\n"
+        "    return os.sep, nchilb.groebner.buchberger, LIMIT\n"
+    )
+    # storing to an imported name does not use it
+    assert unused_imports(source) == [("osp", 2), ("check", 4), ("rho", 6)]
