@@ -474,37 +474,49 @@ def _add_options(p, func, options):
     p.set_defaults(func=func, parser=p, bounds=bounds)
 
 
-def build_parser(argv):
-    """The `nchilb` parser, built only as far as `argv` reaches.
+def _level(parent, dest, names, argv):
+    """Subparsers of `parent` for `names`: (the action, the names to build, the arguments after).
+
+    A level is built for argv[0] alone when it is one of `names`, under a
+    metavar that lists them all as argparse would.  When argv names none
+    of them, or an option comes first (help, version, or one that argparse
+    refuses), every name is built and so is everything below it (`argv`
+    None), so that help, version and errors read as from the full parser.
+    """
+    if argv and argv[0] in names:
+        action = parent.add_subparsers(dest=dest, required=True, metavar="{" + ",".join(names) + "}")
+        return action, (argv[0],), argv[1:]
+    return parent.add_subparsers(dest=dest, required=True), names, None
+
+
+def build_parser(argv=None):
+    """The `nchilb` parser, built only as far as `argv` reaches; None builds all of it.
 
     No top- or group-level option takes a value, so argparse takes the
-    group from the first argument that does not start with "-" and the
-    command from the next such argument.  Every group name is added (the
-    top-level usage lists them), and the named group gets all its command
-    names (its help and errors list them), but only the named command gets
-    options.
+    group from the first argument and the command from the next when
+    neither starts with "-"; only that group and that command are built
+    (see `_level`), and only the command gets options.
     """
-    names = [a for a in argv if not a.startswith("-")] + [None, None]
     parser = argparse.ArgumentParser(
         prog="nchilb",
         description="Exact combinatorics and algebra of Chow rings of "
         "non-commutative Hilbert schemes.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    groups = (*(group for group, _, _ in GROUPS), "paper-example")
+    sub, built, rest = _level(parser, "command", groups, argv)
     for group, summary, commands in GROUPS:
-        p = sub.add_parser(group, help=summary)
-        if names[0] == group:
-            subs = p.add_subparsers(dest="subcommand", required=True)
+        if group in built:
+            p = sub.add_parser(group, help=summary)
+            subs, chosen, _ = _level(p, "subcommand", tuple(name for name, _, _ in commands), rest)
             for name, func, options in commands:
-                q = subs.add_parser(name)
-                if names[1] == name:
-                    _add_options(q, func, options)
-    p = sub.add_parser(
-        "paper-example",
-        help="replay the worked m=2, d=3, n=1 pipeline and verify every pinned value",
-    )
-    if names[0] == "paper-example":
+                if name in chosen:
+                    _add_options(subs.add_parser(name), func, options)
+    if "paper-example" in built:
+        p = sub.add_parser(
+            "paper-example",
+            help="replay the worked m=2, d=3, n=1 pipeline and verify every pinned value",
+        )
         _add_options(p, cmd_paper_example, SEED_TRIALS)
     return parser
 

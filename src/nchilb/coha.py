@@ -6,14 +6,16 @@ of elements of arities p and q sums, over all complementary index pairs
 times the interaction kernel prod (x_j - x_i)^(m-1).  An element is a
 SymmetricPoly (integer monomial-symmetric coefficients over one
 denominator), its arity is its `nvars`, and `element` reads one from a
-symmetric SparsePoly.  One partition core computes every product from a
-single block term instead of C(d, p) shuffles.  For m >= 1 the block
-term times the kernel is summed per sorted exponent; the kernel power is
-only ever formed on its block-sorted exponents, as a product over the
-first block of one polynomial in the second, and the forbidden
-polynomials are read off the same representatives.  For m = 0, where
-the kernel is a denominator, the block term times a staircase monomial
-in each block is antisymmetrized.  Exponents are packed by the partition
+symmetric SparsePoly.  One partition core computes every product from
+its block term instead of C(d, p) shuffles.  The shuffle is bilinear, so
+the block term is split into monomial pairs m_alpha(x_I) m_beta(x_J),
+and the sum of each pair is memoised for every product that meets it.
+For m >= 1 a pair times the kernel is summed per sorted exponent; the
+kernel power is only ever formed on its block-sorted exponents, as a
+product over the first block of one polynomial in the second, and the
+forbidden polynomials are read off the same representatives.  For m = 0,
+where the kernel is a denominator, a pair times a staircase monomial in
+each block is antisymmetrized.  Exponents are packed by the partition
 codec of `polynomial`, and orbits are expanded by its `_spread`, so this
 module keeps only the shuffle formula.  The x-space polynomial of an
 element is expanded on each read, and no copy of it is kept.
@@ -32,7 +34,10 @@ from .polynomial import (
     SparsePoly,
     SymmetricPoly,
     _alternate_sums,
+    _check_blocks,
     _clear_denominators,
+    _layout,
+    _orbit_coefficients,
     _orbit_size,
     _pack,
     _spread,
@@ -72,17 +77,19 @@ def element(poly):
     return SymmetricPoly.from_poly(poly)
 
 
-def _shuffle(base, p, q, m, denominator):
+def _shuffle(pairs, p, q, m, denominator):
     """The shuffle sum of an S_p x S_q-invariant base, on partitions.
 
-    `base` maps exponents to integers, over `denominator`.  With kernel =
-    prod_{i<=p<j} (x_j - x_i)^(m-1), the shuffle sum is the sum of
-    sigma(base kernel) over S_d divided by p! q!.
+    `pairs` maps alpha + beta, alpha and beta partitions padded to p and q
+    parts, to the integer coefficient of m_alpha(x_1..x_p) m_beta(x_p+1..)
+    in the base, over `denominator`.  The sum is linear in the base, so it
+    adds up the memoised sum of each pair (`_pair_sums`).  With kernel =
+    prod_{i<=p<j} (x_j - x_i)^(m-1), it is the sum of sigma(base kernel)
+    over S_d divided by p! q!.
 
     For m >= 1 the coefficient of m_mu in it is |Stab mu| / (p! q!) times
-    the sum of the coefficients of base * kernel over the orbit of mu.
-    kernel is S_p x S_q-invariant, and because base is too, kernel may be
-    replaced by its sorted-block exponents weighted by orbit size.
+    the sum of the coefficients of base * kernel over the orbit of mu; the
+    pair sums carry |Stab mu|, and their total is divided by p! q! once.
 
     For m = 0, Delta_p Delta_q prod_{i<=p<j} (x_j - x_i) is the full
     Vandermonde (Delta_p, Delta_q those of the blocks), so the sum is
@@ -90,27 +97,50 @@ def _shuffle(base, p, q, m, denominator):
     sum of tau(x^delta) over S_p x S_q, delta = (0, .., p-1, 0, .., q-1),
     and base is invariant, so that is rho(base x^delta).
     """
-    d = p + q
+    totals = {}
+    get = totals.get
+    for pair, c in pairs.items():
+        mus, sums = _pair_sums(pair, p, m)
+        for mu, total in zip(mus, sums):
+            totals[mu] = get(mu, 0) + c * total
+    if m:
+        norm = math.factorial(p) * math.factorial(q)
+        for mu, total in totals.items():
+            totals[mu], rest = divmod(total, norm)
+            if rest:  # the theory forbids this
+                raise ArithmeticError(
+                    "block symmetrization is not integral; this indicates a bug "
+                    "in the shuffle product"
+                )
+    return SymmetricPoly._make(p + q, totals, denominator)
+
+
+@lru_cache(maxsize=None)
+def _pair_sums(pair, p, m):
+    """The shuffle sum of one pair m_alpha(x_1..x_p) m_beta(x_p+1..), pair = alpha + beta.
+
+    Returned as (sorted exponents mu, integers) before the division by
+    p! q!: for m >= 1 the sums of m_alpha m_beta prod_{i<=p<j}
+    (x_j - x_i)^(m-1) over each S_d-orbit times |Stab mu|, for m = 0 the
+    alternant sums of m_alpha m_beta x^delta.  Zero sums are dropped.
+    """
+    q = len(pair) - p
+    base = _spread({pair: 1}, p)
     if m == 0:
         delta = tuple(range(p)) + tuple(range(q))
         shifted = {tuple(a + b for a, b in zip(e, delta)): c for e, c in base.items()}
-        return SymmetricPoly(d, _alternate_sums(shifted, d), denominator)
-    norm = math.factorial(p) * math.factorial(q)
-    coefficients = {}
-    for mu, total in _orbit_sums(base, p, q, m - 1).items():
-        coef, rest = divmod(_stabilizer_order(mu) * total, norm)
-        if rest:  # the theory forbids this
-            raise ArithmeticError(
-                "block symmetrization is not integral; this indicates a bug "
-                "in the shuffle product"
-            )
-        coefficients[mu] = coef
-    return SymmetricPoly(d, coefficients, denominator)
+        sums = _alternate_sums(shifted, p + q)
+    else:
+        sums = {mu: _stabilizer_order(mu) * total for mu, total in _orbit_sums(base, p, q, m - 1).items()}
+    sums = {mu: total for mu, total in sums.items() if total}
+    return tuple(sums), tuple(sums.values())
 
 
 def _orbit_sums(base, p, q, power):
     """base * prod_{i<=p<j} (x_j - x_i)^power summed over each S_d-orbit, keyed by sorted exponent.
 
+    base is S_p x S_q-invariant, and so is the kernel, which is therefore
+    replaced by its sorted-block exponents weighted by orbit size.
     Exponents are packed by the partition codec of `polynomial`, in fields
     as wide as the top exponent needs, so adding two packed ints adds the
     exponent vectors; each distinct product is unpacked once, to be sorted.
@@ -124,10 +154,12 @@ def _orbit_sums(base, p, q, power):
         for k2, c2 in kernel:
             key = k1 + k2
             products[key] = get(key, 0) + c1 * c2
+    codec = _layout(p + q, width)[0]
+    unpack, size = codec.unpack, codec.size
     totals = {}
     for key, coef in products.items():
         if coef:
-            mu = tuple(sorted(_unpack(key, p + q, width), reverse=True))
+            mu = tuple(sorted(unpack(key.to_bytes(size, "big")), reverse=True))
             totals[mu] = totals.get(mu, 0) + coef
     return totals
 
@@ -171,9 +203,8 @@ def coha_mul(f, g, m):
     """Shuffle product of two elements, of arity f.nvars + g.nvars."""
     if m < 0:
         raise ValueError("loop count m must be non-negative")
-    left, right = _spread(f.coefficients, f.nvars), _spread(g.coefficients, g.nvars)
-    base = {e1 + e2: c1 * c2 for e1, c1 in left.items() for e2, c2 in right.items()}
-    return _shuffle(base, f.nvars, g.nvars, m, f.denominator * g.denominator)
+    pairs = {a + b: c1 * c2 for a, c1 in f.coefficients.items() for b, c2 in g.coefficients.items()}
+    return _shuffle(pairs, f.nvars, g.nvars, m, f.denominator * g.denominator)
 
 
 def psi(k):
@@ -213,11 +244,6 @@ def forbidden_polynomial(p, d, m):
     return SparsePoly._make(d, _spread(terms, p))
 
 
-def _right_variables(p, q):
-    """The monomial x_{p+1}..x_{p+q} in p + q variables."""
-    return SparsePoly.monomial(p + q, (0,) * p + (1,) * q)
-
-
 def tautological_relation(b, p, d, m):
     """Antisymmetrization of b times the p-th forbidden polynomial."""
     if b.nvars != d:
@@ -236,10 +262,15 @@ def shuffle_expression(h, p, q, m):
         raise ValueError(f"h has {h.nvars} variables, expected {d}")
     if m < 0:
         raise ValueError("loop count m must be non-negative")
-    if not is_symmetric(h, block=(p, q)):
+    _check_blocks(p, q)
+    reps = _orbit_coefficients(h, p)
+    if reps is None:
         raise ValueError(f"h is not invariant under S_{p} x S_{q}")
-    base, denominator = _clear_denominators((h * _right_variables(p, q)).terms)
-    return _shuffle(base, p, q, m, denominator).poly
+    # x_J m_alpha(x_I) m_beta(x_J) = m_alpha(x_I) m_{beta + 1}(x_J)
+    pairs, denominator = _clear_denominators(
+        {rep[:p] + tuple(b + 1 for b in rep[p:]): c for rep, c in reps.items()}
+    )
+    return _shuffle(pairs, p, q, m, denominator).poly
 
 
 def module_basis(p, q):

@@ -14,7 +14,8 @@ change of basis work on the coefficients of the sorted exponents, that is
 on partitions; SymmetricPoly holds a symmetric polynomial in that form,
 with integer coefficients over one denominator, and expands it into
 x-space only when asked, keeping no expanded copy.  The change of basis
-runs on partitions packed into ints, caching e-monomial rows without e_d.
+runs on partitions packed into ints, and on e-exponents packed the same
+way, caching e-monomial rows without e_d.
 """
 
 import heapq
@@ -267,6 +268,15 @@ class SymmetricPoly:
         self.nvars = nvars
         self.coefficients = {mu: c for mu, c in coefficients.items() if c}
         self.denominator = denominator
+
+    @classmethod
+    def _make(cls, nvars, coefficients, denominator=1):
+        # internal fast path: every key a padded partition, zero coefficients allowed
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.coefficients = {mu: c for mu, c in coefficients.items() if c}
+        self.denominator = denominator
+        return self
 
     @classmethod
     def from_poly(cls, f):
@@ -634,36 +644,39 @@ def _raise(key, k, d, width):
 
 
 @lru_cache(maxsize=None)
-def _row(a, width):
-    """prod_k e_k^{a_k} in len(a) variables, a_d = 0, as (packed partitions, integers).
+def _row(a, d, width):
+    """prod_k e_k^{a_k} in d variables, a_d = 0, as (packed partitions, integers).
 
-    The integers are an int64 array unless one of them passes 2^63.
-    """
-    for i, power in enumerate(a):
-        if power:
-            keys, coefs = _row(a[:i] + (power - 1,) + a[i + 1 :], width)
-            out = {}
-            get = out.get
-            k, d = i + 1, len(a)
-            for mu, c in zip(keys, coefs):
-                nus, counts = _raise(mu, k, d, width)
-                for nu, count in zip(nus, counts):
-                    out[nu] = get(nu, 0) + c * count
-            try:
-                return tuple(out), array("q", out.values())
-            except OverflowError:
-                return tuple(out), tuple(out.values())
-    return (0,), (1,)
-
-
-def _expansion(a, width):
-    """e^a as (packed partitions, integers, shift to add to each partition).
-
-    In d variables m_{mu + 1^d} = e_d m_mu, so only rows with a_d = 0 are cached.
+    The e-exponents a are packed as a partition is, a_1 in the highest
+    field.  A row is built from the row of a with its first nonzero a_k
+    lowered by one, the field of the highest set bit.  The integers are an
+    int64 array unless one of them passes 2^63.
     """
     if not a:
-        return (0,), (1,), 0
-    return *_row(a[:-1] + (0,), width), a[-1] * _layout(len(a), width)[1]
+        return (0,), (1,)
+    shift = (a.bit_length() - 1) // width * width
+    keys, coefs = _row(a - (1 << shift), d, width)
+    k = d - shift // width
+    out = {}
+    get = out.get
+    for mu, c in zip(keys, coefs):
+        nus, counts = _raise(mu, k, d, width)
+        for nu, count in zip(nus, counts):
+            out[nu] = get(nu, 0) + c * count
+    try:
+        return tuple(out), array("q", out.values())
+    except OverflowError:
+        return tuple(out), tuple(out.values())
+
+
+def _expansion(a, d, width):
+    """e^a, a packed as in `_row`, as (packed partitions, integers, shift to add to each partition).
+
+    In d variables m_{mu + 1^d} = e_d m_mu, so only rows with a_d = 0 are
+    cached, by a with its last field cleared.
+    """
+    top = a & ((1 << width) - 1)
+    return *_row(a - top, d, width), top * _layout(d, width)[1]
 
 
 def to_elementary(f):
@@ -672,13 +685,17 @@ def to_elementary(f):
     f is a SymmetricPoly, or a SparsePoly that is read once into one and
     raises ValueError when it is not symmetric.  Classical descent: pop the
     lex-leading packed partition from a heap and subtract the e-monomial
-    whose expansion leads with it.  Every partition met is dominated by
-    one of f, so f's largest part sets the field width.
+    whose expansion leads with it.  The lead P = lambda packs its
+    e-exponents too: field i of P - ((P << width) & mask) is lambda_i -
+    lambda_{i+1}, with no borrow.  Every partition met is dominated by one
+    of f, so f's largest part sets the field width.  The e-exponents of
+    the result are unpacked once, at the end.
     """
     if not isinstance(f, SymmetricPoly):
         f = SymmetricPoly.from_poly(f)
     d, denom = f.nvars, f.denominator
     width = _width(max((mu[0] for mu in f.coefficients if mu), default=0))
+    mask = (1 << width * d) - 1
     remainder = {_pack(mu, width): c for mu, c in f.coefficients.items()}
     get = remainder.get
     heap = [-key for key in remainder]
@@ -689,10 +706,9 @@ def to_elementary(f):
         coef = remainder[lead]
         if not coef:  # cancelled; a key is pushed once, when it first appears
             continue
-        part = _unpack(lead, d, width)
-        a = tuple(part[i] - part[i + 1] for i in range(d - 1)) + part[d - 1 :]
-        result[a] = QQ(coef, denom)
-        keys, coefs, shift = _expansion(a, width)
+        a = lead - ((lead << width) & mask)
+        result[a] = coef
+        keys, coefs, shift = _expansion(a, d, width)
         for nu, c in zip(keys, coefs):
             nu += shift
             acc = get(nu)
@@ -700,24 +716,27 @@ def to_elementary(f):
                 heapq.heappush(heap, -nu)
                 acc = 0
             remainder[nu] = acc - coef * c
-    return SparsePoly._make(d, result)
+    return SparsePoly._make(
+        d, {_unpack(a, d, width): QQ(c) if denom == 1 else QQ(c, denom) for a, c in result.items()}
+    )
 
 
 def from_elementary(g):
     """Evaluate a polynomial in e-variables at the elementary symmetric polynomials.
 
-    Each e-monomial expands by the same `_expansion` that `to_elementary`
-    descends with, over the common denominator of g.
+    Each e-monomial, packed as a partition, expands by the same
+    `_expansion` that `to_elementary` descends with, over the common
+    denominator of g.
     """
     coefficients, denom = _clear_denominators(g.terms)
     d = g.nvars
     width = _width(max(map(sum, coefficients), default=0))
     total = {}
     for a, c in coefficients.items():
-        keys, coefs, shift = _expansion(a, width)
+        keys, coefs, shift = _expansion(_pack(a, width), d, width)
         for key, k in zip(keys, coefs):
             total[key + shift] = total.get(key + shift, 0) + c * k
-    return SymmetricPoly(d, {_unpack(key, d, width): c for key, c in total.items()}, denom).poly
+    return SymmetricPoly._make(d, {_unpack(key, d, width): c for key, c in total.items()}, denom).poly
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line surface: outputs, schemas, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
 
-from nchilb.cli import build_parser, main
+from nchilb.cli import GROUPS, build_parser, main
 from nchilb.forests import forest_from_json
 from nchilb.polynomial import poly_from_json
 
@@ -407,3 +408,48 @@ def test_coha_builds_only_the_format_it_prints(capsys, monkeypatch, argv):
             patch.setattr(f"{module}.poly_to_text", _refuse)
         code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0 and json.loads(out)
+
+
+# argv that name one group and command, none, an unknown one, or ask for help
+# or the version before, between or after the names
+PARSER_CASES = [
+    [], ["-h"], ["--help"], ["--he"], ["--version"], ["bogus"], ["coha"], ["chow", "-h"],
+    ["forests", "--help"], ["chow", "bogus"], ["-h", "chow", "verify"], ["chow", "-h", "verify"],
+    ["--version", "coha", "psi"], ["--m", "2", "chow", "verify"], ["chow", "--format", "json", "verify"],
+    ["chow", "verify", "-h"], ["chow", "verify", "--m", "2"], ["chow", "verify", "--m", "-1", "--d", "3"],
+    ["chow", "verify", "--m", "2", "--d", "3", "extra"], ["chow", "verify", "--m", "2", "--d", "3", "--bogus"],
+    ["chow", "verify", "--m", "2", "--d", "3"], ["coha", "psi", "--k", "3", "--format", "json"],
+    ["forests", "count", "--m", "2", "--d", "4"], ["paper-example", "-h"], ["paper-example", "--trials", "0"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_lean_parser_reads_as_the_full_parser(capsys, monkeypatch, argv):
+    lean = _outcome(capsys, argv)
+    monkeypatch.setattr("nchilb.cli.build_parser", lambda _argv, full=build_parser: full(None))
+    assert _outcome(capsys, argv) == lean
+
+
+def test_lean_parser_builds_only_the_named_command(monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser(["chow", "verify", "--m", "2", "--d", "5"])
+    assert built == ["nchilb", "nchilb chow", "nchilb chow verify"]
+    built.clear()
+    build_parser(None)
+    assert len(built) == 1 + len(GROUPS) + sum(len(commands) for _, _, commands in GROUPS) + 1

@@ -6,6 +6,9 @@ against the regex grammar it replaced;
 rho and rho_pq against the bialternant, and the Kostka numbers behind them
 against closed-form identities; the partition-core shuffle product (m = 0..3)
 and its change of basis against the subset-sum and x-space descent oracles,
+the shuffles with the memo of monomial-pair sums cleared against the same
+shuffles with it warm, the e-monomial rows on packed e-exponents in every
+field width against x-space products,
 and the presentation path without any x-space expansion; the local
 multiplicity and every trial's dimension against the loop that screens
 draws by leading coefficients; the
@@ -45,7 +48,15 @@ from hypothesis import strategies as st
 import nchilb.groebner
 import nchilb.presentation
 from nchilb.cli import _worked_example_pair
-from nchilb.coha import _kernel_representatives, coha_mul, element, kernel_generators
+from nchilb.coha import (
+    _kernel_representatives,
+    _pair_sums,
+    coha_mul,
+    element,
+    kernel_generators,
+    psi_product,
+    shuffle_expression,
+)
 from nchilb.forests import critical_pairs, enumerate_btuples, enumerate_forests, forest_to_jtuple
 from nchilb.groebner import (
     GroebnerBasis,
@@ -60,9 +71,11 @@ from nchilb.groebner import (
 from nchilb.polynomial import (
     SparsePoly,
     SymmetricPoly,
+    _expansion,
     _kostka,
     _orbit_size,
     _pack,
+    _unpack,
     from_elementary,
     is_partition,
     is_symmetric,
@@ -444,6 +457,64 @@ def test_partition_product_equals_shuffle_oracle(case):
     expanded = product.poly
     assert expanded == oracle_shuffle(f, p, g, q, m)
     assert to_elementary(product) == oracle_to_elementary(expanded)
+
+
+@st.composite
+def memo_cases(draw):
+    """(f, g, ks, h, m): elements of arities p and q, psi indices and f(x_I) g(x_J), p + q <= 4, m <= 3."""
+    p = draw(st.integers(0, 3))
+    q = draw(st.integers(0, 4 - p))
+    factors = []
+    for n in (p, q):
+        parts = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+            lambda lam: tuple(sorted(lam, reverse=True))
+        )
+        lams = draw(st.lists(parts, max_size=3, unique=True))
+        coefs = draw(st.lists(st.integers(-9, 9), min_size=len(lams), max_size=len(lams)))
+        factors.append(SymmetricPoly(n, dict(zip(lams, coefs)), draw(st.integers(1, 4))))
+    f, g = factors
+    h = SparsePoly(p + q, {a + b: c1 * c2 for a, c1 in f.poly.terms.items() for b, c2 in g.poly.terms.items()})
+    ks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    return f, g, ks, h, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(memo_cases())
+def test_shuffles_equal_with_the_pair_memo_cold_and_warm(case):
+    # the memo of each monomial pair's shuffle sum is shared by every product;
+    # a memoised entry read back in another product must give the same result
+    f, g, ks, h, m = case
+    p, q = f.nvars, g.nvars
+    products = (
+        lambda: coha_mul(f, g, m),
+        lambda: psi_product(ks, m),
+        lambda: shuffle_expression(h, p, q, m),
+    )
+    cold = []
+    for product in products:
+        _pair_sums.cache_clear()
+        cold.append(product())
+    for product in products:
+        product()
+    misses = _pair_sums.cache_info().misses
+    assert [product() for product in products] == cold
+    assert _pair_sums.cache_info().misses == misses
+    # x_J g(x_J) is (e_q g)(x_J), so the shuffle form of f(x_I) g(x_J) is f * e_q g
+    raised = {tuple(b + 1 for b in beta): c for beta, c in g.coefficients.items()}
+    assert cold[2] == coha_mul(f, SymmetricPoly(q, raised, g.denominator), m).poly
+
+
+@pytest.mark.parametrize("width", (8, 16, 32, 64))
+def test_packed_e_exponent_rows_equal_x_space_products(width):
+    # e^a as a row of packed partitions, keyed by a packed as a partition,
+    # shifted by a_d copies of 1^d
+    for d in range(7):
+        for a in itertools.product(range(3), repeat=d):
+            if sum(a) > 3 or (sum(a) == 3 and d > 4):
+                continue
+            keys, coefs, shift = _expansion(_pack(a, width), d, width)
+            row = SymmetricPoly._make(d, {_unpack(key + shift, d, width): c for key, c in zip(keys, coefs)})
+            assert row.poly == oracle_from_elementary(SparsePoly(d, {a: 1})), (d, a)
 
 
 def test_presentation_path_never_expands_to_x_space(monkeypatch):
