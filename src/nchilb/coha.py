@@ -17,13 +17,11 @@ forbidden polynomials are read off the same representatives.  For m = 0,
 where the kernel is a denominator, a pair times a staircase monomial in
 each block is antisymmetrized.  Exponents are packed by the partition
 codec of `polynomial`, and orbits are expanded by its `_spread`, so this
-module keeps only the shuffle formula.  The x-space polynomial of an
-element is expanded on each read, and no copy of it is kept.
+module keeps only the shuffle formula.
 
 The same shuffle machinery produces the degree-d kernel generators
-f * (e_q cup g), with f a Schur polynomial in the first p variables and
-g = 1, which present the quotient rings downstream; on that path no
-generator is ever expanded into x-space.
+f * (e_q cup 1), f a Schur polynomial in the first p variables, which
+present the quotient rings downstream without any x-space expansion.
 """
 
 import itertools
@@ -174,6 +172,8 @@ def _kernel_representatives(p, q, power, width):
     prefix's, and only its weakly decreasing x'' exponents are kept.
     Returned as (exponent packed in `width`-bit fields, coefficient) pairs.
     """
+    if not p:  # no kernel, only the empty product
+        return ((0, 1),)
     r = [{} for _ in range(q * power + 1)]
     for a in itertools.product(range(power + 1), repeat=q):
         coef = (-1) ** sum(a) * math.prod(math.comb(power, b) for b in a)

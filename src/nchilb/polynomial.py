@@ -429,23 +429,10 @@ def _kostka(lam, mu):
     )
 
 
-def _runs(part):
-    """(start, length) of each maximal run of equal entries of a tuple."""
-    runs = []
-    start = 0
-    for i in range(1, len(part) + 1):
-        if i == len(part) or part[i] != part[start]:
-            runs.append((start, i - start))
-            start = i
-    return runs
-
-
+@lru_cache(maxsize=None)
 def _stabilizer_order(part):
-    """Number of permutations fixing a weakly decreasing tuple."""
-    order = 1
-    for _, length in _runs(part):
-        order *= math.factorial(length)
-    return order
+    """Number of permutations fixing a tuple."""
+    return math.prod(map(math.factorial, map(part.count, set(part))))
 
 
 def _orbit_size(part):
@@ -619,28 +606,45 @@ def _unpack(key, d, width):
 def _raise(key, k, d, width):
     """m_mu * e_k on packed partitions as (nu, coefficients); rows share these nu.
 
+    The product depends on mu only through its run shape: field i of
+    mu - ((mu << width) & mask) is mu_i - mu_{i+1}, here clamped at 2
+    (equal, one apart, further apart) and without the last field.
+    """
+    ones = _layout(d, width)[1]
+    diff = key - ((key << width) & ((1 << width * d) - 1))
+    half = ones * ((1 << width - 1) - 1)
+    wide = ((diff >> 1 & half) + half) >> width - 1 & ones  # 1 in each field of 2 or more
+    deltas, coefs = _shape_raise((diff & ones & ~wide | wide << 1) >> width, k, d, width)
+    return tuple(key + delta for delta in deltas), coefs
+
+
+@lru_cache(maxsize=None)
+def _shape_raise(shape, k, d, width):
+    """The packed increments nu - mu and coefficients of m_mu * e_k for a run shape of `_raise`.
+
     Raising any j entries of one run of equal parts gives the same nu, so
     each run b raises its first j_b.  The coefficient of nu counts the
     k-subsets S with sort(nu - 1_S) = mu: when run b - 1 is exactly one
     higher, S may take any j_b of the j_b + (its unraised) equal entries.
     """
-    part = _unpack(key, d, width)
-    runs = _runs(part)
     ones = _layout(d, width)[1]
     found = [(0, 1, k, 0)]  # (delta, coefficient, entries left, unraised of the last run)
-    for b, (start, length) in enumerate(runs):
-        adjacent = b > 0 and part[runs[b - 1][0]] == part[start] + 1
-        later = d - start - length  # entries after this run
+    start, gap = 0, 2
+    for end, step in enumerate(_unpack(shape, d - 1, width) + (2,), 1):
+        if not step:  # the run goes on
+            continue
+        length, later = end - start, d - end
         grown = []
         for delta, coef, left, above in found:
-            above = above if adjacent else 0
+            above = above if gap == 1 else 0
             if left <= later:
                 grown.append((delta, coef, left, length))
             for j in range(max(1, left - later), min(length, left) + 1):
                 raised = delta + (ones >> width * (d - j) << width * (d - start - j))
                 grown.append((raised, coef * math.comb(j + above, j), left - j, length - j))
         found = grown
-    return tuple(key + f[0] for f in found if not f[2]), tuple(f[1] for f in found if not f[2])
+        start, gap = end, step
+    return tuple(f[0] for f in found if not f[2]), tuple(f[1] for f in found if not f[2])
 
 
 @lru_cache(maxsize=None)
@@ -648,9 +652,10 @@ def _row(a, d, width):
     """prod_k e_k^{a_k} in d variables, a_d = 0, as (packed partitions, integers).
 
     The e-exponents a are packed as a partition is, a_1 in the highest
-    field.  A row is built from the row of a with its first nonzero a_k
-    lowered by one, the field of the highest set bit.  The integers are an
-    int64 array unless one of them passes 2^63.
+    field.  In d variables m_{mu + 1^d} = e_d m_mu, so callers drop a_d and
+    add it to every part.  A row is built from the row of a with its first
+    nonzero a_k lowered by one, the field of the highest set bit.  The
+    integers are an int64 array unless one of them passes 2^63.
     """
     if not a:
         return (0,), (1,)
@@ -669,16 +674,6 @@ def _row(a, d, width):
         return tuple(out), tuple(out.values())
 
 
-def _expansion(a, d, width):
-    """e^a, a packed as in `_row`, as (packed partitions, integers, shift to add to each partition).
-
-    In d variables m_{mu + 1^d} = e_d m_mu, so only rows with a_d = 0 are
-    cached, by a with its last field cleared.
-    """
-    top = a & ((1 << width) - 1)
-    return *_row(a - top, d, width), top * _layout(d, width)[1]
-
-
 def to_elementary(f):
     """Rewrite a symmetric polynomial as a polynomial in e_1, .., e_d.
 
@@ -695,7 +690,7 @@ def to_elementary(f):
         f = SymmetricPoly.from_poly(f)
     d, denom = f.nvars, f.denominator
     width = _width(max((mu[0] for mu in f.coefficients if mu), default=0))
-    mask = (1 << width * d) - 1
+    mask, last, ones = (1 << width * d) - 1, (1 << width) - 1, _layout(d, width)[1]
     remainder = {_pack(mu, width): c for mu, c in f.coefficients.items()}
     get = remainder.get
     heap = [-key for key in remainder]
@@ -708,7 +703,8 @@ def to_elementary(f):
             continue
         a = lead - ((lead << width) & mask)
         result[a] = coef
-        keys, coefs, shift = _expansion(a, d, width)
+        keys, coefs = _row(a - (a & last), d, width)
+        shift = (a & last) * ones
         for nu, c in zip(keys, coefs):
             nu += shift
             acc = get(nu)
@@ -724,16 +720,18 @@ def to_elementary(f):
 def from_elementary(g):
     """Evaluate a polynomial in e-variables at the elementary symmetric polynomials.
 
-    Each e-monomial, packed as a partition, expands by the same
-    `_expansion` that `to_elementary` descends with, over the common
-    denominator of g.
+    Each e-monomial, packed as a partition, expands by the same `_row`
+    that `to_elementary` descends with, over the common denominator of g.
     """
     coefficients, denom = _clear_denominators(g.terms)
     d = g.nvars
     width = _width(max(map(sum, coefficients), default=0))
+    last, ones = (1 << width) - 1, _layout(d, width)[1]
     total = {}
     for a, c in coefficients.items():
-        keys, coefs, shift = _expansion(_pack(a, width), d, width)
+        a = _pack(a, width)
+        keys, coefs = _row(a - (a & last), d, width)
+        shift = (a & last) * ones
         for key, k in zip(keys, coefs):
             total[key + shift] = total.get(key + shift, 0) + c * k
     return SymmetricPoly._make(d, {_unpack(key, d, width): c for key, c in total.items()}, denom).poly

@@ -12,7 +12,9 @@ codimensions from every enumerated forest, walked one at a time, and
 random polynomials from seeded generators.
 The symmetry check, the change to e-coordinates in both directions, the
 kernel power prod (x_j - x_i)^power and the kernel generators have slow
-x-space oracles here, computed term by term over all variables.
+x-space oracles here, computed term by term over all variables; the
+product m_mu * e_k of the packed change of basis has the enumeration on
+one partition's runs that its run-shape memo replaced.
 The quotient queries of a basis have oracles that visit every monomial of
 a box or a weighted cone and test it against every head.  Buchberger and
 the normal form have the tuple-exponent oracle: orders, divisibility and
@@ -382,6 +384,33 @@ def oracle_from_elementary(g):
             term = term * elementary_symmetric(i + 1, d) ** a
         total = total + term
     return total
+
+
+def oracle_raise(part, k):
+    """m_part * e_k as {nu: coefficient}, enumerated on the runs of one partition.
+
+    Raising any j entries of one run of equal parts gives the same nu, so
+    each run b raises its first j_b.  The coefficient of nu counts the
+    k-subsets S with sort(nu - 1_S) = part: when run b - 1 is exactly one
+    higher, S may take any j_b of the j_b + (its unraised) equal entries.
+    """
+    d = len(part)
+    starts = [i for i in range(d) if i == 0 or part[i] != part[i - 1]]
+    runs = [(start, end - start) for start, end in zip(starts, starts[1:] + [d])]
+    found = [(part, 1, k, 0)]  # (nu, coefficient, entries left, unraised of the last run)
+    for b, (start, length) in enumerate(runs):
+        adjacent = b > 0 and part[runs[b - 1][0]] == part[start] + 1
+        later = d - start - length  # entries after this run
+        grown = []
+        for nu, coef, left, above in found:
+            above = above if adjacent else 0
+            if left <= later:
+                grown.append((nu, coef, left, length))
+            for j in range(max(1, left - later), min(length, left) + 1):
+                raised = nu[:start] + tuple(a + 1 for a in nu[start : start + j]) + nu[start + j :]
+                grown.append((raised, coef * math.comb(j + above, j), left - j, length - j))
+        found = grown
+    return {nu: coef for nu, coef, left, _ in found if not left}
 
 
 def _place(poly, positions, nvars):

@@ -8,7 +8,8 @@ against closed-form identities; the partition-core shuffle product (m = 0..3)
 and its change of basis against the subset-sum and x-space descent oracles,
 the shuffles with the memo of monomial-pair sums cleared against the same
 shuffles with it warm, the e-monomial rows on packed e-exponents in every
-field width against x-space products,
+field width against x-space products, m_mu * e_k memoised per run shape
+against the enumeration on the runs of each partition,
 and the presentation path without any x-space expansion; the local
 multiplicity and every trial's dimension against the loop that screens
 draws by leading coefficients; the
@@ -71,10 +72,11 @@ from nchilb.groebner import (
 from nchilb.polynomial import (
     SparsePoly,
     SymmetricPoly,
-    _expansion,
     _kostka,
     _orbit_size,
     _pack,
+    _raise,
+    _row,
     _unpack,
     from_elementary,
     is_partition,
@@ -118,6 +120,7 @@ from helpers import (
     oracle_kernel_power,
     oracle_local_multiplicity,
     oracle_normal_form,
+    oracle_raise,
     oracle_order_key,
     oracle_packed_key,
     oracle_poly_from_text,
@@ -253,7 +256,10 @@ def test_to_elementary_equals_x_space_descent(f):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.sampled_from((8, 16, 32, 64)))
+@example(0, 4, 3, 8)
 def test_kernel_representatives_equal_filtered_full_product(p, q, power, width):
+    if not p:  # no kernel: the one representative, with no table built
+        assert _kernel_representatives(p, q, power, width) == ((0, 1),)
     # the full product has (power + 1)^(p q) terms before cancellation, so its
     # size, not the representatives', bounds the shapes checked here
     assume(p * q * power <= 18)
@@ -506,15 +512,42 @@ def test_shuffles_equal_with_the_pair_memo_cold_and_warm(case):
 
 @pytest.mark.parametrize("width", (8, 16, 32, 64))
 def test_packed_e_exponent_rows_equal_x_space_products(width):
-    # e^a as a row of packed partitions, keyed by a packed as a partition,
-    # shifted by a_d copies of 1^d
+    # e^a as the row of a packed as a partition, a_d cleared, with a_d
+    # added to every part
     for d in range(7):
         for a in itertools.product(range(3), repeat=d):
             if sum(a) > 3 or (sum(a) == 3 and d > 4):
                 continue
-            keys, coefs, shift = _expansion(_pack(a, width), d, width)
-            row = SymmetricPoly._make(d, {_unpack(key + shift, d, width): c for key, c in zip(keys, coefs)})
-            assert row.poly == oracle_from_elementary(SparsePoly(d, {a: 1})), (d, a)
+            low = a[-1] if d else 0
+            keys, coefs = _row(_pack(a, width) - low, d, width)
+            row = {tuple(b + low for b in _unpack(key, d, width)): c for key, c in zip(keys, coefs)}
+            assert SymmetricPoly._make(d, row).poly == oracle_from_elementary(SparsePoly(d, {a: 1})), (d, a)
+
+
+@st.composite
+def raise_cases(draw):
+    """(partition, k, width): 2..8 parts, runs one apart and zero parts likely, 1 <= k < d."""
+    width = draw(st.sampled_from((8, 16, 32, 64)))
+    d = draw(st.integers(2, 8))
+    room = (2**width - 2) // d  # the raised top part still fits its field
+    steps = draw(st.lists(st.one_of(st.integers(0, 2), st.integers(0, room)), min_size=d, max_size=d))
+    part = tuple(itertools.accumulate(reversed(steps)))[::-1]
+    return part, draw(st.integers(1, d - 1)), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(raise_cases())
+@example(((3, 2, 2, 1, 0, 0), 3, 8))
+@example(((254, 253, 253, 0), 2, 8))
+@example(((2**64 - 2, 2**64 - 3, 1, 1, 0), 3, 64))
+def test_raise_by_run_shape_equals_per_partition_enumeration(case):
+    # partitions of one run shape share one memo entry of increments, so a
+    # shape read wrongly shows as a wrong nu or coefficient here
+    part, k, width = case
+    d = len(part)
+    nus, coefs = _raise(_pack(part, width), k, d, width)
+    assert len(set(nus)) == len(nus)
+    assert {_unpack(nu, d, width): c for nu, c in zip(nus, coefs)} == oracle_raise(part, k)
 
 
 def test_presentation_path_never_expands_to_x_space(monkeypatch):
