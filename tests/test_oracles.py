@@ -120,10 +120,10 @@ from helpers import (
     oracle_kernel_power,
     oracle_local_multiplicity,
     oracle_normal_form,
-    oracle_raise,
     oracle_order_key,
     oracle_packed_key,
     oracle_poly_from_text,
+    oracle_raise,
     oracle_rho,
     oracle_rho_pq,
     oracle_shuffle,
@@ -258,7 +258,7 @@ def test_to_elementary_equals_x_space_descent(f):
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.sampled_from((8, 16, 32, 64)))
 @example(0, 4, 3, 8)
 def test_kernel_representatives_equal_filtered_full_product(p, q, power, width):
-    if not p:  # no kernel: the one representative, with no table built
+    if not p:  # no kernel: the empty product is the one representative
         assert _kernel_representatives(p, q, power, width) == ((0, 1),)
     # the full product has (power + 1)^(p q) terms before cancellation, so its
     # size, not the representatives', bounds the shapes checked here
