@@ -212,7 +212,7 @@ def test_to_elementary_inverts_from_elementary(g):
 @settings(max_examples=60, deadline=None)
 @given(e_polynomials())
 def test_from_elementary_equals_x_space_products(g):
-    # both directions read _expansion, so the round trip alone cannot catch a wrong expansion
+    # both directions read _row, so the round trip alone cannot catch a wrong expansion
     assert from_elementary(g) == oracle_from_elementary(g)
 
 
